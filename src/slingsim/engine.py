@@ -9,6 +9,12 @@ transmitting and releases its own at transmit end, which is credit-based
 flow control with monotonically increasing VC index, so buffer wait cycles
 cannot form.
 
+Directed ports are identified by the integer port id ``2 * link +
+direction`` (``topology.port_id``; direction 0 travels a->b, and on edge
+links endpoint->switch).  Chunk paths, ``Engine.ports``, ``active_ports``
+and ``monitored`` use these ids; ``Port.key`` keeps the ``(link,
+direction)`` pair for traces and congestion views.
+
 Congestion management watches the switch-side queues of NIC delivery links.
 A queue that stays above the detection threshold for the dwell time marks
 the link congested; the sources seen feeding it during the dwell window are
@@ -26,14 +32,15 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 
-from slingsim.qos import BEST_EFFORT, PortState, arbitrate, default_profile, \
-    validate_profile
+from slingsim.qos import PortState, arbitrate, default_profile, validate_profile
 from slingsim.report import FlapEvent, MessageRecord, SimReport, TimeoutEvent
 from slingsim.routing import CongestionView, NoRouteError, Route, Router, \
     RoutingPolicy
-from slingsim.topology import EDGE, STATUS_UP, StateOverlay, Topology
+from slingsim.topology import EDGE, GLOBAL, StateOverlay, Topology, port_id, \
+    port_key
 
 
 class SimConfigError(ValueError):
@@ -107,36 +114,45 @@ class Chunk:
     __slots__ = ("msg", "offset", "length", "path", "hop", "tx_gen", "retries")
 
     def __init__(self, msg: Message, offset: int, length: int,
-                 path: tuple[tuple[int, int], ...]):
+                 path: tuple[int, ...]):
         self.msg = msg
         self.offset = offset
         self.length = length
-        self.path = path
-        self.hop = 0  # index of the link currently being traversed/queued
+        self.path = path  # port ids
+        self.hop = 0  # index of the port currently being traversed/queued
         self.tx_gen = 0
         self.retries = 0
 
 
 class Port:
-    """Runtime state of one directed link: queues + per-VC credit pools."""
+    """Runtime state of one directed link: queues + per-VC credit pools.
+
+    ``rate`` caches the overlay's effective bandwidth of the link, 0.0 while
+    the link is unusable, as of overlay generation ``rate_gen``.
+    """
 
     __slots__ = (
-        "key", "link", "direction", "state", "committed", "occ", "busy",
+        "id", "key", "link", "link_id", "state", "committed", "occ", "busy",
         "waiters", "wake_at", "is_edge_in", "contributors", "detected",
-        "above_since", "below_since", "throttled",
+        "above_since", "below_since", "throttled", "delay", "rate",
+        "rate_gen",
     )
 
-    def __init__(self, key, link, state: PortState):
-        self.key = key
+    def __init__(self, pid: int, link, state: PortState, delay: float):
+        self.id = pid
+        self.key = port_key(pid)
         self.link = link
-        self.direction = key[1]
+        self.link_id = link.id
         self.state = state
         self.committed = [0] * MAX_VC
         self.occ = 0
         self.busy: Chunk | None = None
-        self.waiters: dict = {}
+        self.waiters: dict = {}  # Port or Injector -> None, in wait order
         self.wake_at = float("inf")
-        self.is_edge_in = link.kind == EDGE and key[1] == 1
+        self.is_edge_in = link.kind == EDGE and self.key[1] == 1
+        self.delay = delay  # propagation delay of the link
+        self.rate = 0.0
+        self.rate_gen = -1
         self.contributors: dict[int, float] = {}
         self.detected = False
         self.above_since = -1.0
@@ -168,13 +184,13 @@ class Injector:
     """Per-source-endpoint chunk release: message round robin, retry queue
     and per-congested-destination rate limits."""
 
-    __slots__ = ("ep", "edge_link", "out_key", "active", "rr", "retries",
+    __slots__ = ("ep", "edge_link", "out_port", "active", "rr", "retries",
                  "throttles", "registered", "wake_at")
 
     def __init__(self, ep: int, edge_link: int):
         self.ep = ep
         self.edge_link = edge_link
-        self.out_key = (edge_link, 0)
+        self.out_port = port_id(edge_link, 0)
         self.active: list[Message] = []
         self.rr = 0
         self.retries: list[Chunk] = []
@@ -209,13 +225,15 @@ class Engine:
 
         self.now = 0.0
         self._heap: list = []
-        self._seq = 0
-        self.ports: dict[tuple[int, int], Port] = {}
+        self._seq = count()  # heap tie-break: events at one time fire FIFO
+        self._buffer = config.buffer()
+        self.ports: dict[int, Port] = {}  # port id -> Port
         self.injectors: dict[int, Injector] = {}
-        self.active_ports: dict[tuple[int, int], Port] = {}
-        self.monitored: dict[tuple[int, int], Port] = {}
+        self.active_ports: dict[int, Port] = {}
+        self.monitored: dict[int, Port] = {}
         self.link_gen: dict[int, int] = {}
         self.view = CongestionView()
+        self._blocked: list[Port] = []  # ports refusing credit to one kick
 
         self.messages: list[Message] = []
         self.injected_bytes = 0
@@ -246,7 +264,6 @@ class Engine:
         self._phase_total: list[int] = []
         self._phase_done: list[int] = []
         self._global_phase = 0
-        self._placement = None
 
     # -- setup -----------------------------------------------------------------
 
@@ -265,7 +282,6 @@ class Engine:
         """Install a workload: one message per schedule entry, released per
         phase-barrier rules and the per-rank outstanding window."""
         n = placement.ranks
-        self._placement = placement
         self._barrier = schedule.barrier
         self._window = schedule.window or self.config.default_window
         self._rank_queues = [[] for _ in range(n)]
@@ -303,28 +319,37 @@ class Engine:
     # -- event plumbing -----------------------------------------------------------
 
     def _push(self, t: float, kind: int, payload=None) -> None:
-        heapq.heappush(self._heap, (t, self._seq, kind, payload))
-        self._seq += 1
-
-    def _prop_delay(self, link) -> float:
-        if link.kind == EDGE:
-            return self.topo.spec.endpoint_latency
-        return self.topo.spec.per_hop_latency
+        heapq.heappush(self._heap, (t, next(self._seq), kind, payload))
 
     def _eff_bw(self, link_id: int) -> float:
         return self.overlay.effective_bandwidth(link_id)
 
-    def _port(self, key: tuple[int, int]) -> Port:
-        port = self.ports.get(key)
+    def _port(self, pid: int) -> Port:
+        port = self.ports.get(pid)
         if port is None:
-            state = PortState(self.profile.values(),
-                              self.config.chunk_quantum_bytes,
-                              self.config.qos_window_us * 1e-6)
-            port = Port(key, self.topo.links[key[0]], state)
-            self.ports[key] = port
-            if port.is_edge_in:
-                self.monitored[key] = port
+            port = self._new_port(pid)
         return port
+
+    def _new_port(self, pid: int) -> Port:
+        state = PortState(self.profile.values(),
+                          self.config.chunk_quantum_bytes,
+                          self.config.qos_window_us * 1e-6)
+        link = self.topo.links[port_key(pid)[0]]
+        spec = self.topo.spec
+        delay = spec.endpoint_latency if link.kind == EDGE \
+            else spec.per_hop_latency
+        port = self.ports[pid] = Port(pid, link, state, delay)
+        if port.is_edge_in:
+            self.monitored[pid] = port
+        return port
+
+    def _refresh_rate(self, port: Port) -> None:
+        """Re-read ``port.rate`` from the overlay; callers skip this while
+        ``port.rate_gen`` matches the overlay's generation."""
+        overlay = self.overlay
+        port.rate_gen = overlay.generation
+        port.rate = overlay.effective_bandwidth(port.link_id) \
+            if overlay.link_usable(port.link_id) else 0.0
 
     def _injector(self, ep: int) -> Injector:
         inj = self.injectors.get(ep)
@@ -335,11 +360,9 @@ class Engine:
 
     @staticmethod
     def _build_path(src: int, dst: int, route: Route,
-                    topo: Topology) -> tuple[tuple[int, int], ...]:
-        path = [(topo.edge_link_of_endpoint(src), 0)]
-        path.extend(zip(route.hops, route.dirs))
-        path.append((topo.edge_link_of_endpoint(dst), 1))
-        return tuple(path)
+                    topo: Topology) -> tuple[int, ...]:
+        return (port_id(topo.edge_link_of_endpoint(src), 0), *route.port_ids,
+                port_id(topo.edge_link_of_endpoint(dst), 1))
 
     # -- run loop ----------------------------------------------------------------
 
@@ -357,21 +380,26 @@ class Engine:
         self._release_ready()
         self._check_done()
 
-        while self._heap:
-            t, _seq, kind, payload = heapq.heappop(self._heap)
-            if t > cfg.duration_s:
-                self.now = cfg.duration_s
+        heap = self._heap
+        pop = heapq.heappop
+        end = cfg.duration_s
+        on_txdone, on_arrive = self._on_txdone, self._on_arrive
+        inf = float("inf")
+        while heap:
+            t, _seq, kind, payload = pop(heap)
+            if t > end:
+                self.now = end
                 break
             self.now = t
             if kind == K_TX:
-                self._on_txdone(payload)
+                on_txdone(payload)
             elif kind == K_ARRIVE:
-                self._on_arrive(payload)
+                on_arrive(payload)
             elif kind == K_WAKEPORT:
-                payload.wake_at = float("inf")
+                payload.wake_at = inf
                 self._kick_port(payload)
             elif kind == K_WAKEINJ:
-                payload.wake_at = float("inf")
+                payload.wake_at = inf
                 self._run_injector(payload)
             elif kind == K_TICK:
                 self._on_tick()
@@ -412,7 +440,6 @@ class Engine:
 
     def _release_rank(self, rank: int) -> None:
         queue = self._rank_queues[rank]
-        woken = False
         while (self._rank_next[rank] < len(queue)
                and self._outstanding[rank] < self._window):
             msg = queue[self._rank_next[rank]]
@@ -421,9 +448,6 @@ class Engine:
             self._rank_next[rank] += 1
             self._outstanding[rank] += 1
             self._issue(msg)
-            woken = True
-        if woken:
-            pass
 
     def _issue(self, msg: Message) -> None:
         msg.issue_time = self.now
@@ -514,8 +538,8 @@ class Engine:
             bucket[1] -= length
 
     def _run_injector(self, inj: Injector) -> None:
-        out = self._port(inj.out_key)
-        buffer = self.config.buffer()
+        out = self._port(inj.out_port)
+        buffer = self._buffer
         quantum = self.config.chunk_quantum_bytes
         wake: float | None = None
 
@@ -553,7 +577,7 @@ class Engine:
             # hand the chunk to the edge-out port
             out.committed[0] += chunk.length
             out.occ += chunk.length
-            self.active_ports[out.key] = out
+            self.active_ports[out.id] = out
             out.state.enqueue(chunk, chunk.msg.traffic_class, 0)
             self._kick_port(out)
 
@@ -638,44 +662,48 @@ class Engine:
             inj.wake_at = msg.stalled_until
             self._push(msg.stalled_until, K_WAKEINJ, inj)
 
-    def _wait_credit(self, waiter, port: Port) -> None:
-        if isinstance(waiter, Injector):
-            if not waiter.registered:
-                waiter.registered = True
-                port.waiters[("inj", waiter.ep)] = waiter
-        else:
-            port.waiters[("port", waiter.key)] = waiter
+    def _wait_credit(self, inj: Injector, port: Port) -> None:
+        if not inj.registered:
+            inj.registered = True
+            port.waiters[inj] = None
 
     # -- port service ----------------------------------------------------------------
 
     def _kick_port(self, port: Port) -> None:
         if port.busy is not None:
             return
-        if not self.overlay.link_usable(port.key[0]):
+        if port.rate_gen != self.overlay.generation:
+            self._refresh_rate(port)
+        rate = port.rate
+        if not rate:
             return
-        blocked: list[Port] = []
-        buffer = self.config.buffer()
-
-        def can_send(chunk: Chunk) -> bool:
-            nxt = chunk.hop + 1
-            if nxt >= len(chunk.path):
-                return True
-            q = self._port(chunk.path[nxt])
-            if q.committed[nxt] + chunk.length <= buffer:
-                return True
-            blocked.append(q)
-            return False
-
-        rate = self._eff_bw(port.key[0])
-        chunk, wake = arbitrate(port.state, self.now, rate, can_send)
+        blocked = self._blocked
+        chunk, wake = arbitrate(port.state, self.now, rate, self._can_send)
         if chunk is not None:
+            blocked.clear()
             self._start_tx(port, chunk, rate)
             return
         for q in blocked:
-            q.waiters[("port", port.key)] = port
+            q.waiters[port] = None
+        blocked.clear()
         if wake is not None and wake < port.wake_at:
             port.wake_at = wake
-            self._push(wake, K_WAKEPORT, port)
+            heapq.heappush(self._heap, (wake, next(self._seq), K_WAKEPORT, port))
+
+    def _can_send(self, chunk: Chunk) -> bool:
+        """Credit gate of ``arbitrate``: room for ``chunk`` in its next pool.
+        A refusing port is remembered in ``_blocked`` for the kick to wait on."""
+        nxt = chunk.hop + 1
+        path = chunk.path
+        if nxt >= len(path):
+            return True
+        q = self.ports.get(path[nxt])
+        if q is None:
+            q = self._new_port(path[nxt])
+        if q.committed[nxt] + chunk.length <= self._buffer:
+            return True
+        self._blocked.append(q)
+        return False
 
     def _start_tx(self, port: Port, chunk: Chunk, rate: float) -> None:
         nxt = chunk.hop + 1
@@ -683,45 +711,49 @@ class Engine:
             q = self._port(chunk.path[nxt])
             q.committed[nxt] += chunk.length
             q.occ += chunk.length
-            self.active_ports[q.key] = q
-        chunk.tx_gen = self.link_gen.get(port.key[0], 0)
+            self.active_ports[q.id] = q
+        chunk.tx_gen = self.link_gen.get(port.link_id, 0)
         port.busy = chunk
         if self.config.trace_ports:
             self.port_trace.append(
                 (self.now, port.key, chunk.msg.traffic_class, chunk.length))
-        self._push(self.now + chunk.length / rate, K_TX, port)
+        heapq.heappush(self._heap, (self.now + chunk.length / rate,
+                                    next(self._seq), K_TX, port))
 
     def _on_txdone(self, port: Port) -> None:
         chunk = port.busy
         port.busy = None
-        link_id = port.key[0]
+        link_id = port.link_id
         port.committed[chunk.hop] -= chunk.length
         port.occ -= chunk.length
-        if port.occ <= 0 and port.key in self.active_ports and port.busy is None:
+        if port.occ <= 0 and port.id in self.active_ports:
             if port.state.backlog() == 0:
-                del self.active_ports[port.key]
-        self._wake_waiters(port)
+                del self.active_ports[port.id]
+        if port.waiters:
+            self._wake_waiters(port)
 
-        lost = (self.link_gen.get(link_id, 0) != chunk.tx_gen
-                or not self.overlay.link_usable(link_id))
-        if lost:
+        if port.rate_gen != self.overlay.generation:
+            self._refresh_rate(port)
+        if self.link_gen.get(link_id, 0) != chunk.tx_gen or not port.rate:
             self._release_next_reservation(chunk)
             self._lose_chunk(chunk, link_id)
         else:
-            self._push(self.now + self._prop_delay(port.link), K_ARRIVE, chunk)
+            heapq.heappush(self._heap, (self.now + port.delay,
+                                        next(self._seq), K_ARRIVE, chunk))
         self._kick_port(port)
 
     def _wake_waiters(self, port: Port) -> None:
         if not port.waiters:
             return
-        waiters = list(port.waiters.values())
+        waiters = list(port.waiters)
         port.waiters.clear()
+        heap, seq, now = self._heap, self._seq, self.now
         for w in waiters:
             if isinstance(w, Injector):
                 w.registered = False
-                self._push(self.now, K_WAKEINJ, w)
+                heapq.heappush(heap, (now, next(seq), K_WAKEINJ, w))
             else:
-                self._push(self.now, K_WAKEPORT, w)
+                heapq.heappush(heap, (now, next(seq), K_WAKEPORT, w))
 
     def _release_next_reservation(self, chunk: Chunk) -> None:
         nxt = chunk.hop + 1
@@ -732,27 +764,30 @@ class Engine:
             self._wake_waiters(q)
 
     def _on_arrive(self, chunk: Chunk) -> None:
-        link_id = chunk.path[chunk.hop][0]
+        path = chunk.path
+        link_id = self.ports[path[chunk.hop]].link_id
         if self.link_gen.get(link_id, 0) != chunk.tx_gen:
             self._release_next_reservation(chunk)
             self._lose_chunk(chunk, link_id)
             return
-        chunk.hop += 1
+        hop = chunk.hop = chunk.hop + 1
         chunk.retries = 0
-        if chunk.hop >= len(chunk.path):
+        if hop >= len(path):
             self._deliver(chunk)
             return
-        key = chunk.path[chunk.hop]
-        if not self.overlay.link_usable(key[0]):
+        port = self.ports.get(path[hop])
+        if port is None:
+            port = self._new_port(path[hop])
+        if port.rate_gen != self.overlay.generation:
+            self._refresh_rate(port)
+        if not port.rate:
             # next link died while the chunk was in flight toward it
-            q = self._port(key)
-            q.committed[chunk.hop] -= chunk.length
-            q.occ -= chunk.length
-            self._lose_chunk(chunk, key[0])
+            port.committed[hop] -= chunk.length
+            port.occ -= chunk.length
+            self._lose_chunk(chunk, port.link_id)
             return
-        port = self._port(key)
-        port.state.enqueue(chunk, chunk.msg.traffic_class, chunk.hop)
-        self.active_ports[port.key] = port
+        port.state.enqueue(chunk, chunk.msg.traffic_class, hop)
+        self.active_ports[port.id] = port
         if port.is_edge_in:
             port.contributors[chunk.msg.src] = self.now
         self._kick_port(port)
@@ -827,27 +862,27 @@ class Engine:
             self.flap_events.append(
                 FlapEvent(link_id, link.kind, node, self.now, duration))
             for d in (0, 1):
-                port = self.ports.get((link_id, d))
+                port = self.ports.get(port_id(link_id, d))
                 if port is not None:
                     self._flush_port(port)
         else:
             self.overlay.set_link_state(link_id, status="up")
             for d in (0, 1):
-                port = self.ports.get((link_id, d))
+                port = self.ports.get(port_id(link_id, d))
                 if port is not None:
                     self._kick_port(port)
         self._check_done()
 
     def _flush_port(self, port: Port) -> None:
         state = port.state
-        for key in sorted(state.queues):
-            q = state.queues[key]
+        for c, vc in sorted(state.queues):
+            q = state.queues[(c, vc)]
             while q:
                 chunk = q.popleft()
-                state.queued_bytes[key[0]] -= chunk.length
+                state.queued_bytes[c] -= chunk.length
                 port.committed[chunk.hop] -= chunk.length
                 port.occ -= chunk.length
-                self._lose_chunk(chunk, port.key[0])
+                self._lose_chunk(chunk, port.link_id)
         for c in state.order:
             if state.queued_bytes[c] == 0:
                 state.deficit[c] = 0.0
@@ -863,11 +898,11 @@ class Engine:
     def _rebuild_view(self) -> None:
         occ: dict[tuple[int, int], float] = {}
         group_load: dict[int, float] = {}
-        for key, port in self.active_ports.items():
+        for port in self.active_ports.values():
             if port.occ <= 0:
                 continue
-            occ[key] = float(port.occ)
-            if port.link.kind == "global":
+            occ[port.key] = float(port.occ)
+            if port.link.kind == GLOBAL:
                 for sw in (port.link.switch_a, port.link.switch_b):
                     g = self.topo.group_of_switch(sw)
                     group_load[g] = group_load.get(g, 0.0) + port.occ
@@ -910,8 +945,8 @@ class Engine:
         for src in sorted(port.contributors):
             if src not in live:
                 del port.contributors[src]
-        fair = self._eff_bw(port.key[0]) / max(1, len(live))
-        egress = port.key[0]
+        egress = port.link_id
+        fair = self._eff_bw(egress) / max(1, len(live))
         for src in sorted(port.throttled - live):
             inj = self.injectors.get(src)
             if inj:
@@ -932,7 +967,7 @@ class Engine:
                 bucket[0], bucket[1], bucket[2] = fair, tokens, self.now
 
     def _clear_throttles(self, port: Port) -> None:
-        egress = port.key[0]
+        egress = port.link_id
         for src in sorted(port.throttled):
             inj = self.injectors.get(src)
             if inj:
@@ -943,11 +978,11 @@ class Engine:
 
     def congestion_state(self) -> CongestionState:
         entries = []
-        for key in sorted(self.monitored):
-            port = self.monitored[key]
+        for pid in sorted(self.monitored):
+            port = self.monitored[pid]
             live = frozenset(port.contributors) if port.detected else frozenset()
-            fair = self._eff_bw(key[0]) / max(1, len(live))
-            entries.append(CongestionEntry(key[0], port.detected, live, fair))
+            fair = self._eff_bw(port.link_id) / max(1, len(live))
+            entries.append(CongestionEntry(port.link_id, port.detected, live, fair))
         return CongestionState(self.now, tuple(entries))
 
     # -- series & report ------------------------------------------------------------------
@@ -984,12 +1019,6 @@ class Engine:
             failed_bytes=self.failed_bytes,
             incomplete_messages=incomplete,
         )
-
-
-def congestion_update(engine: Engine) -> CongestionState:
-    """Run one congestion-management update and return the snapshot."""
-    engine._cc_update()
-    return engine.congestion_state()
 
 
 def run_simulation(topo: Topology, overlay: StateOverlay,

@@ -80,12 +80,18 @@ _WEIGHT_FLOOR = 0.02  # zero-minimum classes still get leftover bandwidth
 
 
 class PortState:
-    """Queues, deficits and rate-cap state for one directed port."""
+    """Queues, deficits and rate-cap state for one directed port.
+
+    ``vc_queues`` maps each class that has queues, in class order, to its
+    queues in VC order: the order arbitration scans heads in.  ``capped``
+    lists the classes with a rate cap.
+    """
 
     __slots__ = (
         "configs", "order", "weights", "quanta", "deficit", "queues",
-        "queued_bytes", "cap_rate_frac", "cap_tokens", "cap_last",
-        "budget", "window", "window_end", "rr", "chunk_quantum",
+        "vc_queues", "queued_bytes", "cap_rate_frac", "capped",
+        "cap_tokens", "cap_last", "budget", "window", "window_end", "rr",
+        "chunk_quantum", "walk_limit",
     )
 
     def __init__(self, class_configs, chunk_quantum: int, window: float):
@@ -99,11 +105,14 @@ class PortState:
                        for c in self.order}
         self.deficit = {c: 0.0 for c in self.order}
         self.queues: dict[tuple[int, int], deque] = {}  # (class, vc) -> chunks
+        self.vc_queues: dict[int, list[deque]] = {}
         self.queued_bytes = {c: 0 for c in self.order}
         self.cap_rate_frac = {
             c: (self.configs[c].max_bw_fraction
                 if self.configs[c].max_bw_fraction < 0.999 else None)
             for c in self.order}
+        self.capped = tuple(c for c in self.order
+                            if self.cap_rate_frac[c] is not None)
         self.cap_tokens = {c: float(chunk_quantum) for c in self.order}
         self.cap_last = {c: 0.0 for c in self.order}
         self.budget = {c: 0.0 for c in self.order}
@@ -111,6 +120,9 @@ class PortState:
         self.window_end = window
         self.rr = 0
         self.chunk_quantum = chunk_quantum
+        # rotor steps after which a walk granting quanta gives up
+        self.walk_limit = len(self.order) * int(
+            max(self.quanta.values()) / min(self.quanta.values()) + 2)
 
     def enqueue(self, chunk, traffic_class: int, vc: int) -> None:
         if traffic_class not in self.configs:
@@ -119,6 +131,9 @@ class PortState:
         q = self.queues.get(key)
         if q is None:
             q = self.queues[key] = deque()
+            self.vc_queues = {}
+            for c, v in sorted(self.queues):
+                self.vc_queues.setdefault(c, []).append(self.queues[(c, v)])
         if self.queued_bytes[traffic_class] == 0:
             # joining the rotor: grant one quantum so fresh low-latency
             # traffic is entitled immediately
@@ -131,18 +146,6 @@ class PortState:
 
     def occupancy(self, traffic_class: int) -> int:
         return self.queued_bytes[traffic_class]
-
-    def _refill(self, now: float, rate: float) -> None:
-        for c in self.order:
-            frac = self.cap_rate_frac[c]
-            if frac is None:
-                continue
-            dt = now - self.cap_last[c]
-            if dt > 0:
-                self.cap_tokens[c] = min(
-                    float(self.chunk_quantum),
-                    self.cap_tokens[c] + dt * frac * rate)
-                self.cap_last[c] = now
 
     def _roll_window(self, now: float, rate: float) -> None:
         if now >= self.window_end:
@@ -162,88 +165,106 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
     instant a rate-capped class becomes eligible again (None when arbitration
     is blocked purely on credits or empty queues).
     """
-    if not any(state.queued_bytes.values()):
+    queued = state.queued_bytes
+    if not any(queued.values()):
         return None, None
-    state._refill(now, rate)
-    state._roll_window(now, rate)
+    cap_tokens = state.cap_tokens
+    for c in state.capped:  # refill the rate-cap token buckets
+        dt = now - state.cap_last[c]
+        if dt > 0:
+            tokens = cap_tokens[c] + dt * state.cap_rate_frac[c] * rate
+            full = float(state.chunk_quantum)
+            cap_tokens[c] = tokens if tokens < full else full
+            state.cap_last[c] = now
+    if now >= state.window_end:
+        state._roll_window(now, rate)
 
+    # per class with backlog, the lowest-VC head that is within its rate cap
+    # and has downstream credit
     wake: float | None = None
-
-    def eligible_head(c: int):
-        """Cheapest servable head among c's vc queues, lowest vc first."""
-        nonlocal wake
-        best_key = None
-        for key in sorted(k for k in state.queues if k[0] == c and state.queues[k]):
-            head = state.queues[key][0]
-            frac = state.cap_rate_frac[c]
-            if frac is not None and state.cap_tokens[c] < head.length:
-                need = (head.length - state.cap_tokens[c]) / (frac * rate)
-                t = now + need
+    candidates: dict[int, deque] = {}
+    for c, lanes in state.vc_queues.items():
+        if not queued[c]:
+            continue
+        frac = state.cap_rate_frac[c]
+        for q in lanes:
+            if not q:
+                continue
+            head = q[0]
+            if frac is not None and cap_tokens[c] < head.length:
+                t = now + (head.length - cap_tokens[c]) / (frac * rate)
                 if wake is None or t < wake:
                     wake = t
                 continue
             if can_send is not None and not can_send(head):
                 continue
-            best_key = key
+            candidates[c] = q
             break
-        return best_key
-
-    candidates: dict[int, tuple[int, int]] = {}
-    for c in state.order:
-        if state.queued_bytes[c] == 0:
-            continue
-        key = eligible_head(c)
-        if key is not None:
-            candidates[c] = key
     if not candidates:
         return None, wake
 
-    def serve(c: int, via_priority: bool):
-        key = candidates[c]
-        chunk = state.queues[key].popleft()
-        state.queued_bytes[c] -= chunk.length
-        state.deficit[c] -= chunk.length
-        if via_priority:
-            state.budget[c] -= chunk.length
-        if state.queued_bytes[c] == 0:
-            state.deficit[c] = 0.0
-        frac = state.cap_rate_frac[c]
-        if frac is not None:
-            state.cap_tokens[c] -= chunk.length
-        return chunk, None
-
-    # priority expedite: a budgeted, entitled class strictly above every
-    # other candidate goes first
-    entitled = [c for c in candidates
-                if state.deficit[c] >= state.queues[candidates[c]][0].length]
+    deficit = state.deficit
+    order = state.order
+    n = len(order)
+    entitled = []
+    for c, q in candidates.items():
+        if deficit[c] >= q[0].length:
+            entitled.append(c)
+    pick = None
+    via_priority = False
     if entitled:
-        budgeted = [c for c in entitled if state.budget[c] > 0]
-        if budgeted:
-            top = max(budgeted, key=lambda c: (state.configs[c].priority, -c))
-            if all(state.configs[top].priority > state.configs[d].priority
-                   for d in candidates if d != top):
-                return serve(top, True)
-        # otherwise rotor order among entitled classes
-        n = len(state.order)
-        for i in range(n):
-            c = state.order[(state.rr + i) % n]
-            if c in entitled:
-                state.rr = (state.rr + i) % n
-                return serve(c, False)
+        # priority expedite: the budgeted, entitled class of highest
+        # priority (lowest id on ties) goes first when its priority is
+        # strictly above every other candidate's
+        configs, budget = state.configs, state.budget
+        top = None
+        top_priority = 0
+        for c in entitled:
+            if budget[c] > 0 and (
+                    top is None or configs[c].priority > top_priority):
+                top, top_priority = c, configs[c].priority
+        if top is not None:
+            for d in candidates:
+                if d != top and configs[d].priority >= top_priority:
+                    break
+            else:
+                pick, via_priority = top, True
+        if pick is None:
+            # otherwise rotor order among entitled classes
+            rr = state.rr
+            for i in range(n):
+                c = order[(rr + i) % n]
+                if c in entitled:
+                    state.rr = (rr + i) % n
+                    pick = c
+                    break
+    else:
+        # nobody entitled: walk the rotor granting quanta until someone is
+        for _ in range(state.walk_limit):
+            state.rr = (state.rr + 1) % n
+            c = order[state.rr]
+            if not queued[c]:
+                continue
+            longest = 0
+            for q in state.vc_queues[c]:
+                if q and q[0].length > longest:
+                    longest = q[0].length
+            quantum = state.quanta[c]
+            deficit[c] = min(deficit[c] + quantum, quantum + longest)
+            q = candidates.get(c)
+            if q is not None and deficit[c] >= q[0].length:
+                pick = c
+                break
+        else:
+            return None, wake
 
-    # nobody entitled: walk the rotor granting quanta until someone is
-    n = len(state.order)
-    cap = n * int(max(state.quanta.values()) / min(state.quanta.values()) + 2)
-    for _ in range(cap):
-        state.rr = (state.rr + 1) % n
-        c = state.order[state.rr]
-        if state.queued_bytes[c] == 0:
-            continue
-        limit = state.quanta[c] + max(
-            (state.queues[k][0].length for k in state.queues
-             if k[0] == c and state.queues[k]), default=0)
-        state.deficit[c] = min(state.deficit[c] + state.quanta[c], limit)
-        if c in candidates and \
-                state.deficit[c] >= state.queues[candidates[c]][0].length:
-            return serve(c, False)
-    return None, wake
+    # serve the head of the picked class
+    chunk = candidates[pick].popleft()
+    length = chunk.length
+    left = queued[pick] = queued[pick] - length
+    deficit[pick] = deficit[pick] - length if left else 0.0
+    if via_priority:
+        state.budget[pick] -= length
+    if state.cap_rate_frac[pick] is not None:
+        cap_tokens[pick] -= length
+    return chunk, None

@@ -16,9 +16,11 @@ between sweeps keeps its pre-flap routability until the next sweep.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Callable
 
-from slingsim.topology import GLOBAL, StateOverlay, Topology
+from slingsim.topology import StateOverlay, Topology, port_id
 
 
 class RoutingError(ValueError):
@@ -47,6 +49,11 @@ class Route:
     def hop_count(self) -> int:
         return len(self.hops)
 
+    @property
+    def port_ids(self) -> tuple[int, ...]:
+        """Directed port id of every hop (see ``topology.port_id``)."""
+        return tuple(map(port_id, self.hops, self.dirs))
+
 
 MINIMAL = "minimal"
 NONMINIMAL = "nonminimal"
@@ -58,7 +65,6 @@ class RoutingPolicy:
     nonminimal_bias: float = 2.0
     group_load_enabled: bool = False
     intermediate_samples: int = 4
-    sweep_interval_s: float = 5.0
 
     def validate(self) -> None:
         if self.mode not in ("minimal", "adaptive"):
@@ -69,8 +75,12 @@ class RoutingPolicy:
             raise RoutingError("intermediate_samples must be >= 1")
 
 
+_ZEROS = repeat(0.0)  # default occupancy of every port absent from a view
+
+
 class CongestionView:
-    """Read-only snapshot of directed queue occupancies and group loads."""
+    """Read-only snapshot of directed queue occupancies (non-negative bytes,
+    keyed by ``(link, direction)``) and group loads."""
 
     __slots__ = ("time", "_occ", "_group_load")
 
@@ -84,19 +94,12 @@ class CongestionView:
     def occupancy(self, link: int, direction: int) -> float:
         return self._occ.get((link, direction), 0.0)
 
-    def estimated_delay(self, link: int, direction: int, bw: float) -> float:
-        return self.occupancy(link, direction) / bw if bw > 0 else 0.0
-
     def group_load(self, group: int) -> float:
         return self._group_load.get(group, 0.0)
 
     def route_max_occupancy(self, route: Route) -> float:
-        occ = 0.0
-        for link, d in zip(route.hops, route.dirs):
-            v = self._occ.get((link, d), 0.0)
-            if v > occ:
-                occ = v
-        return occ
+        return max(map(self._occ.get, zip(route.hops, route.dirs), _ZEROS),
+                   default=0.0)
 
     def scaled(self, factor: float) -> "CongestionView":
         return CongestionView(
@@ -121,6 +124,15 @@ class FlowTable:
 
     def pin(self, key, route: Route) -> None:
         self._entries[key] = [route, 0]
+
+    def repin(self, key, decide: Callable[[], Route]) -> Route:
+        """Pin ``decide()`` for ``key`` in place of its current route,
+        keeping the pending count.  The old pin is dropped first, so a
+        ``decide`` that raises leaves the flow unpinned."""
+        ent = self._entries.pop(key, None)
+        route = decide()
+        self._entries[key] = [route, ent[1] if ent else 0]
+        return route
 
     def add_pending(self, key) -> None:
         ent = self._entries.get(key)
@@ -227,6 +239,17 @@ def enumerate_minimal_routes(topo: Topology, view, src_switch: int,
     return tuple(routes)
 
 
+def _travel(topo: Topology, at: int, lids: list[int]):
+    """(hops, dirs, switches reached) travelling ``lids`` out of switch ``at``."""
+    dirs: list[int] = []
+    sws: list[int] = []
+    for lid in lids:
+        _, d, at = _hop(topo, lid, at)
+        dirs.append(d)
+        sws.append(at)
+    return tuple(lids), tuple(dirs), tuple(sws)
+
+
 def enumerate_nonminimal_routes(topo: Topology, view, src_switch: int,
                                 dst_switch: int,
                                 intermediate_group: int) -> tuple[Route, ...]:
@@ -246,48 +269,52 @@ def enumerate_nonminimal_routes(topo: Topology, view, src_switch: int,
     if not 0 <= intermediate_group < len(topo.group_kinds):
         raise RoutingError(f"unknown group {intermediate_group}")
 
+    # each usable way out of the intermediate group: the switch it leaves
+    # from and the legs from there to dst_switch
+    exits = []
+    for gl_out in _usable_globals(topo, view, intermediate_group, gb):
+        link_out = topo.links[gl_out]
+        i2 = link_out.switch_a \
+            if topo.group_of_switch(link_out.switch_a) == intermediate_group \
+            else link_out.switch_b
+        b_sw = link_out.peer(i2)
+        lids = [gl_out]
+        if b_sw != dst_switch:
+            lid = _first_usable_local(topo, view, b_sw, dst_switch)
+            if lid is None:
+                continue
+            lids.append(lid)
+        exits.append((i2, _travel(topo, i2, lids)))
+
     routes: list[Route] = []
     for gl_in in _usable_globals(topo, view, ga, intermediate_group):
         link_in = topo.links[gl_in]
         a_sw = link_in.switch_a if topo.group_of_switch(link_in.switch_a) == ga \
             else link_in.switch_b
         i1 = link_in.peer(a_sw)
-        for gl_out in _usable_globals(topo, view, intermediate_group, gb):
-            link_out = topo.links[gl_out]
-            i2 = link_out.switch_a \
-                if topo.group_of_switch(link_out.switch_a) == intermediate_group \
-                else link_out.switch_b
-            b_sw = link_out.peer(i2)
-            hops: list[int] = []
-            dirs: list[int] = []
-            sws: list[int] = [src_switch]
-
-            def push(lid: int) -> bool:
-                _, d, to = _hop(topo, lid, sws[-1])
-                hops.append(lid)
-                dirs.append(d)
-                sws.append(to)
-                return True
-
-            if a_sw != src_switch:
-                lid = _first_usable_local(topo, view, src_switch, a_sw)
-                if lid is None:
-                    continue
-                push(lid)
-            push(gl_in)
-            if i1 != i2:
-                lid = _first_usable_local(topo, view, i1, i2)
-                if lid is None:
-                    continue
-                push(lid)
-            push(gl_out)
-            if b_sw != dst_switch:
-                lid = _first_usable_local(topo, view, b_sw, dst_switch)
-                if lid is None:
-                    continue
-                push(lid)
-            routes.append(Route(tuple(hops), tuple(dirs), tuple(sws),
-                                NONMINIMAL, intermediate_group))
+        lids = []
+        if a_sw != src_switch:
+            lid = _first_usable_local(topo, view, src_switch, a_sw)
+            if lid is None:
+                continue
+            lids.append(lid)
+        lids.append(gl_in)
+        hops, dirs, sws = _travel(topo, src_switch, lids)
+        sws = (src_switch,) + sws
+        for i2, (out_hops, out_dirs, out_sws) in exits:
+            if i1 == i2:
+                routes.append(Route(hops + out_hops, dirs + out_dirs,
+                                    sws + out_sws, NONMINIMAL,
+                                    intermediate_group))
+                continue
+            lid = _first_usable_local(topo, view, i1, i2)
+            if lid is None:
+                continue
+            _, d, _ = _hop(topo, lid, i1)
+            routes.append(Route(hops + (lid,) + out_hops,
+                                dirs + (d,) + out_dirs,
+                                sws + (i2,) + out_sws, NONMINIMAL,
+                                intermediate_group))
     if not routes:
         raise NoRouteError(
             f"intermediate group {intermediate_group} unreachable between "
@@ -363,6 +390,13 @@ class Router:
         self.tables = routing_sweep(topo, overlay)
         self.flow_table = FlowTable()
         self.rng = random.Random(seed)
+        # best route of each route set of ``tables`` scored against one view,
+        # keyed by id(route set); holding ``tables`` keeps the sets, and so
+        # their ids, alive.  The memo is exact for that view: a view never
+        # changes, and a set is always scored with the same weight.  It keeps
+        # the route alone, not its score, to stay small on cold tables.
+        self._memo: dict[int, Route] = {}
+        self._memo_for: tuple = (None, None)  # (view, tables)
 
     def sweep(self) -> RoutingTables:
         self.tables = routing_sweep(self.topo, self.overlay, self.tables)
@@ -370,7 +404,10 @@ class Router:
 
     # candidate intermediate groups, sampled without replacement
     def _sample_intermediates(self, ga: int, gb: int) -> list[int]:
-        pool = [g for g in range(len(self.topo.group_kinds)) if g not in (ga, gb)]
+        pool = list(range(len(self.topo.group_kinds)))
+        del pool[max(ga, gb)]
+        if ga != gb:
+            del pool[min(ga, gb)]
         k = min(self.policy.intermediate_samples, len(pool))
         if k <= 0:
             return []
@@ -402,14 +439,10 @@ class Router:
     def repin(self, src_endpoint: int, dst_endpoint: int, traffic_class: int,
               view: CongestionView | None = None) -> Route:
         """Drop a stale pin (e.g. its route lost a link) and decide afresh."""
-        key = (src_endpoint, dst_endpoint, traffic_class)
-        ent = self.flow_table._entries.get(key)
-        pending = ent[1] if ent else 0
-        self.flow_table.drop(key)
-        route = self._decide(src_endpoint, dst_endpoint, view or CongestionView())
-        self.flow_table.pin(key, route)
-        self.flow_table._entries[key][1] = pending
-        return route
+        return self.flow_table.repin(
+            (src_endpoint, dst_endpoint, traffic_class),
+            lambda: self._decide(src_endpoint, dst_endpoint,
+                                 view or CongestionView()))
 
     def route_usable(self, route: Route) -> bool:
         return all(self.tables.link_usable(l) for l in route.hops)
@@ -426,7 +459,7 @@ class Router:
             minimal = ()
 
         if self.policy.mode == "minimal":
-            return self._argmin(minimal, (), view)
+            return self._argmin((minimal,), (), view)
 
         ga = self.topo.group_of_switch(src_sw)
         gb = self.topo.group_of_switch(dst_sw)
@@ -434,31 +467,57 @@ class Router:
         if self.policy.group_load_enabled and sampled:
             best = min(sampled, key=lambda g: (view.group_load(g), g))
             sampled = [best]
-        nonminimal: list[Route] = []
+        nonminimal: list[tuple[Route, ...]] = []
         for g in sampled:
             try:
-                nonminimal.extend(self.tables.nonminimal_routes(src_sw, dst_sw, g))
+                nonminimal.append(self.tables.nonminimal_routes(src_sw, dst_sw, g))
             except NoRouteError:
                 continue
         if not minimal and not nonminimal:
             raise NoRouteError(
                 f"no usable route between endpoints {src_endpoint} and {dst_endpoint}")
-        return self._argmin(minimal, tuple(nonminimal), view)
+        return self._argmin((minimal,), nonminimal, view)
 
-    def _argmin(self, minimal: tuple[Route, ...], nonminimal: tuple[Route, ...],
-                view: CongestionView) -> Route:
-        bias = self.policy.nonminimal_bias
+    def _argmin(self, minimal, nonminimal, view: CongestionView) -> Route:
+        """Lexicographic minimum of (cost, weight, candidate index) over the
+        route sets in ``minimal`` (weight 1) and then ``nonminimal`` (weight
+        ``nonminimal_bias``).  Candidate indices grow along the concatenated
+        sets, so the minimum is the best of the sets' own bests, the earliest
+        set winning a tie."""
+        memo = self._memo
+        if self._memo_for[0] is not view or self._memo_for[1] is not self.tables:
+            memo.clear()
+            self._memo_for = (view, self.tables)
         best = None
-        best_key = None
-        idx = 0
-        for routes, weight in ((minimal, 1.0), (nonminimal, bias)):
-            for r in routes:
-                w = weight * (r.hop_count + 1)
-                cost = (w * view.route_max_occupancy(r), w, idx)
-                if best_key is None or cost < best_key:
-                    best_key = cost
-                    best = r
-                idx += 1
+        for route_sets, weight in ((minimal, 1.0),
+                                   (nonminimal, self.policy.nonminimal_bias)):
+            for routes in route_sets:
+                route = memo.get(id(routes))
+                if route is None:
+                    if not routes:
+                        continue
+                    hit = _best(routes, weight, view)
+                    memo[id(routes)] = hit[2]
+                else:
+                    w = weight * (len(route.hops) + 1)
+                    hit = w * view.route_max_occupancy(route), w, route
+                if best is None or hit[:2] < best[:2]:
+                    best = hit
         if best is None:
             raise NoRouteError("no candidate routes")
-        return best
+        return best[2]
+
+
+def _best(routes: tuple[Route, ...], weight: float, view: CongestionView):
+    """``(cost, w, route)`` for the first route of lowest ``(cost, w)`` in
+    the non-empty ``routes``, where w = weight x (hops + 1) and cost = w x
+    the route's maximum occupancy."""
+    score = view.route_max_occupancy
+    best = None
+    for r in routes:
+        w = weight * (len(r.hops) + 1)
+        cost = w * score(r)
+        if best is None or cost < best_cost or (
+                cost == best_cost and w < best_w):
+            best, best_cost, best_w = r, cost, w
+    return best_cost, best_w, best

@@ -13,6 +13,8 @@ Indices are arithmetic throughout:
 * node ``n`` sits on switch ``n // nodes_per_switch``
 * endpoint ``e`` belongs to node ``e // nics_per_node`` and its edge link
   has link id equal to ``e``.
+* the directed port of link ``l`` travelled in direction ``d`` has port id
+  ``2 * l + d`` (see :func:`port_id`).
 """
 
 from __future__ import annotations
@@ -114,6 +116,17 @@ class Link:
 
     def peer(self, switch: int) -> int:
         return self.switch_b if switch == self.switch_a else self.switch_a
+
+
+def port_id(link: int, direction: int) -> int:
+    """Integer id of the directed port that travels ``link`` in
+    ``direction`` (0: a->b, 1: b->a)."""
+    return 2 * link + direction
+
+
+def port_key(port: int) -> tuple[int, int]:
+    """Inverse of :func:`port_id`: the ``(link, direction)`` of a port id."""
+    return port >> 1, port & 1
 
 
 @dataclass(frozen=True, slots=True)

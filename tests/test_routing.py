@@ -319,6 +319,37 @@ def test_ordered_unordered_do_not_share_pins(small_topo):
     assert len(router.flow_table) == 2  # per (src, dst, class)
 
 
+def test_repin_keeps_pending_count(small_topo):
+    router = Router(small_topo, StateOverlay(small_topo), RoutingPolicy(), seed=2)
+    src = ep_on_switch(small_topo, 0)
+    dst = ep_on_switch(small_topo, 9)
+    key = (src, dst, 0)
+    router.select_route(src, dst, 0, ordered=True)
+    router.flow_table.add_pending(key)
+    router.flow_table.add_pending(key)
+    route = router.repin(src, dst, 0)
+    assert router.flow_table.pinned(key) is route
+    router.flow_table.release(key)
+    assert router.flow_table.pinned(key) is route  # one still pending
+    router.flow_table.release(key)
+    assert router.flow_table.pinned(key) is None
+
+
+def test_failed_repin_leaves_flow_unpinned(small_topo):
+    table = Router(small_topo, StateOverlay(small_topo), RoutingPolicy(),
+                   seed=2).flow_table
+    key = (0, 9, 0)
+    table.pin(key, Route((), (), (0,), "minimal"))
+    table.add_pending(key)
+
+    def no_route():
+        raise NoRouteError("all links down")
+
+    with pytest.raises(NoRouteError):
+        table.repin(key, no_route)
+    assert table.pinned(key) is None and len(table) == 0
+
+
 def test_argmin_scale_invariance(small_topo):
     """Multiplying all occupancies by a positive constant never changes the
     selected route."""

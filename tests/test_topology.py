@@ -27,6 +27,8 @@ from slingsim.topology import (
     endpoint_at_address,
     load_spec,
     parse_spec_text,
+    port_id,
+    port_key,
     set_link_state,
     topology_metrics,
 )
@@ -304,3 +306,10 @@ def test_spec_validation():
         TopologySpec(link_bw_per_dir=0).validate()
     with pytest.raises(TopologyError):
         TopologySpec(switches_per_group=0).validate()
+
+
+def test_port_ids_are_dense_and_invertible(small_topo):
+    ids = [port_id(l.id, d) for l in small_topo.links for d in (0, 1)]
+    assert ids == list(range(2 * len(small_topo.links)))
+    assert [port_key(p) for p in ids] == \
+        [(l.id, d) for l in small_topo.links for d in (0, 1)]
