@@ -13,7 +13,6 @@ from slingsim.topology import (
     endpoint_address,
     endpoint_at_address,
     load_spec,
-    set_link_state,
     topology_metrics,
 )
 

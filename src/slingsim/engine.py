@@ -13,7 +13,7 @@ Directed ports are identified by the integer port id ``2 * link +
 direction`` (``topology.port_id``; direction 0 travels a->b, and on edge
 links endpoint->switch).  Chunk paths, ``Engine.ports``, ``active_ports``
 and ``monitored`` use these ids; ``Port.key`` keeps the ``(link,
-direction)`` pair for traces and congestion views.
+direction)`` pair that keys the congestion view.
 
 Congestion management watches the switch-side queues of NIC delivery links.
 A queue that stays above the detection threshold for the dwell time marks
@@ -35,10 +35,9 @@ import random
 from dataclasses import dataclass
 from itertools import count
 
-from slingsim.qos import PortState, arbitrate, default_profile, validate_profile
+from slingsim.qos import ClassProfile, PortState, arbitrate
 from slingsim.report import FlapEvent, MessageRecord, SimReport, TimeoutEvent
-from slingsim.routing import CongestionView, NoRouteError, Route, Router, \
-    RoutingPolicy
+from slingsim.routing import CongestionView, NoRouteError, Route, Router
 from slingsim.topology import EDGE, GLOBAL, StateOverlay, Topology, port_id, \
     port_key
 
@@ -66,9 +65,6 @@ class SimConfig:
     sweep_interval_s: float = 5.0
     max_retries: int = 8
     default_window: int = 16
-    small_msg_threshold_bytes: int = 0
-    small_msg_step_us: float = 0.0
-    trace_ports: bool = False
 
     def theta(self) -> int:
         return self.cc_theta_bytes or 4 * self.chunk_quantum_bytes
@@ -173,12 +169,6 @@ class CongestionState:
     time: float
     entries: tuple[CongestionEntry, ...]
 
-    def entry_for(self, link: int) -> CongestionEntry | None:
-        for e in self.entries:
-            if e.link == link:
-                return e
-        return None
-
 
 class Injector:
     """Per-source-endpoint chunk release: message round robin, retry queue
@@ -220,7 +210,8 @@ class Engine:
         self.overlay = overlay
         self.router = router
         self.config = config
-        self.profile = validate_profile(class_configs)
+        self.profile = ClassProfile(class_configs, config.chunk_quantum_bytes,
+                                    config.qos_window_us * 1e-6)
         self.rng = random.Random(config.seed)
 
         self.now = 0.0
@@ -245,7 +236,6 @@ class Engine:
         self.per_ep_delivered: dict[int, int] = {}
         self.series: list[tuple[float, float, int, int]] = []
         self._series_last_bytes = 0
-        self.port_trace: list[tuple[float, tuple[int, int], int, int]] = []
 
         self._faults: list[tuple[float, int, float]] = []
         self._pending_faults = 0
@@ -296,7 +286,7 @@ class Engine:
                 if not (0 <= src_rank < n and 0 <= dst_rank < n):
                     raise SimConfigError(f"rank out of range in phase {p}")
                 tc = schedule.traffic_class
-                if tc not in self.profile:
+                if tc not in self.profile.configs:
                     raise SimConfigError(f"unknown traffic class {tc}")
                 msg = Message(
                     id=len(self.messages),
@@ -321,9 +311,6 @@ class Engine:
     def _push(self, t: float, kind: int, payload=None) -> None:
         heapq.heappush(self._heap, (t, next(self._seq), kind, payload))
 
-    def _eff_bw(self, link_id: int) -> float:
-        return self.overlay.effective_bandwidth(link_id)
-
     def _port(self, pid: int) -> Port:
         port = self.ports.get(pid)
         if port is None:
@@ -331,14 +318,11 @@ class Engine:
         return port
 
     def _new_port(self, pid: int) -> Port:
-        state = PortState(self.profile.values(),
-                          self.config.chunk_quantum_bytes,
-                          self.config.qos_window_us * 1e-6)
         link = self.topo.links[port_key(pid)[0]]
         spec = self.topo.spec
         delay = spec.endpoint_latency if link.kind == EDGE \
             else spec.per_hop_latency
-        port = self.ports[pid] = Port(pid, link, state, delay)
+        port = self.ports[pid] = Port(pid, link, PortState(self.profile), delay)
         if port.is_edge_in:
             self.monitored[pid] = port
         return port
@@ -503,9 +487,6 @@ class Engine:
 
     def _complete(self, msg: Message) -> None:
         msg.completion_time = self.now
-        if self.config.small_msg_threshold_bytes and \
-                msg.size <= self.config.small_msg_threshold_bytes:
-            msg.completion_time += self.config.small_msg_step_us * 1e-6
         self._resolve(msg)
 
     def _fail(self, msg: Message) -> None:
@@ -517,23 +498,31 @@ class Engine:
 
     # -- injection -------------------------------------------------------------------
 
-    def _throttle_ok(self, inj: Injector, msg: Message,
-                     length: int) -> tuple[bool, float]:
-        egress = self.topo.edge_link_of_endpoint(msg.dst)
-        bucket = inj.throttles.get(egress)
-        if bucket is None:
-            return True, 0.0
+    def _throttle(self, inj: Injector, msg: Message) -> list[float] | None:
+        """The token bucket limiting ``inj``'s traffic to ``msg.dst``."""
+        return inj.throttles.get(self.topo.edge_link_of_endpoint(msg.dst))
+
+    def _refill(self, bucket: list[float]) -> float:
+        """Refill ``bucket`` up to now, to at most one chunk, and return its
+        tokens."""
         rate, tokens, last = bucket
         tokens = min(float(self.config.chunk_quantum_bytes),
                      tokens + (self.now - last) * rate)
         bucket[1], bucket[2] = tokens, self.now
+        return tokens
+
+    def _throttle_ok(self, inj: Injector, msg: Message,
+                     length: int) -> tuple[bool, float]:
+        bucket = self._throttle(inj, msg)
+        if bucket is None:
+            return True, 0.0
+        tokens = self._refill(bucket)
         if tokens >= length:
             return True, 0.0
-        return False, self.now + (length - tokens) / rate
+        return False, self.now + (length - tokens) / bucket[0]
 
     def _charge_throttle(self, inj: Injector, msg: Message, length: int) -> None:
-        egress = self.topo.edge_link_of_endpoint(msg.dst)
-        bucket = inj.throttles.get(egress)
+        bucket = self._throttle(inj, msg)
         if bucket is not None:
             bucket[1] -= length
 
@@ -714,9 +703,6 @@ class Engine:
             self.active_ports[q.id] = q
         chunk.tx_gen = self.link_gen.get(port.link_id, 0)
         port.busy = chunk
-        if self.config.trace_ports:
-            self.port_trace.append(
-                (self.now, port.key, chunk.msg.traffic_class, chunk.length))
         heapq.heappush(self._heap, (self.now + chunk.length / rate,
                                     next(self._seq), K_TX, port))
 
@@ -735,8 +721,7 @@ class Engine:
         if port.rate_gen != self.overlay.generation:
             self._refresh_rate(port)
         if self.link_gen.get(link_id, 0) != chunk.tx_gen or not port.rate:
-            self._release_next_reservation(chunk)
-            self._lose_chunk(chunk, link_id)
+            self._lose_chunk(chunk, chunk.hop + 1, link_id)
         else:
             heapq.heappush(self._heap, (self.now + port.delay,
                                         next(self._seq), K_ARRIVE, chunk))
@@ -755,20 +740,11 @@ class Engine:
             else:
                 heapq.heappush(heap, (now, next(seq), K_WAKEPORT, w))
 
-    def _release_next_reservation(self, chunk: Chunk) -> None:
-        nxt = chunk.hop + 1
-        if nxt < len(chunk.path):
-            q = self._port(chunk.path[nxt])
-            q.committed[nxt] -= chunk.length
-            q.occ -= chunk.length
-            self._wake_waiters(q)
-
     def _on_arrive(self, chunk: Chunk) -> None:
         path = chunk.path
         link_id = self.ports[path[chunk.hop]].link_id
         if self.link_gen.get(link_id, 0) != chunk.tx_gen:
-            self._release_next_reservation(chunk)
-            self._lose_chunk(chunk, link_id)
+            self._lose_chunk(chunk, chunk.hop + 1, link_id)
             return
         hop = chunk.hop = chunk.hop + 1
         chunk.retries = 0
@@ -782,9 +758,7 @@ class Engine:
             self._refresh_rate(port)
         if not port.rate:
             # next link died while the chunk was in flight toward it
-            port.committed[hop] -= chunk.length
-            port.occ -= chunk.length
-            self._lose_chunk(chunk, port.link_id)
+            self._lose_chunk(chunk, hop, port.link_id)
             return
         port.state.enqueue(chunk, chunk.msg.traffic_class, hop)
         self.active_ports[port.id] = port
@@ -811,7 +785,17 @@ class Engine:
         self.timeout_events.append(
             TimeoutEvent(self.now, link_id, link.kind, node, msg.id))
 
-    def _lose_chunk(self, chunk: Chunk, link_id: int) -> None:
+    def _lose_chunk(self, chunk: Chunk, vc: int, link_id: int) -> None:
+        """``chunk`` was lost on ``link_id``: hand back its reservation in
+        pool ``vc`` of the port at ``chunk.path[vc]`` (none when ``vc`` is
+        past the path's end), wake that port's waiters and schedule the
+        retry."""
+        path = chunk.path
+        if vc < len(path):
+            port = self.ports[path[vc]]
+            port.committed[vc] -= chunk.length
+            port.occ -= chunk.length
+            self._wake_waiters(port)
         self._note_timeout(chunk.msg, link_id)
         if chunk.msg.done:
             if chunk.msg.failed:
@@ -880,10 +864,8 @@ class Engine:
             while q:
                 chunk = q.popleft()
                 state.queued_bytes[c] -= chunk.length
-                port.committed[chunk.hop] -= chunk.length
-                port.occ -= chunk.length
-                self._lose_chunk(chunk, port.link_id)
-        for c in state.order:
+                self._lose_chunk(chunk, chunk.hop, port.link_id)
+        for c in state.profile.order:
             if state.queued_bytes[c] == 0:
                 state.deficit[c] = 0.0
         self._wake_waiters(port)
@@ -946,7 +928,7 @@ class Engine:
             if src not in live:
                 del port.contributors[src]
         egress = port.link_id
-        fair = self._eff_bw(egress) / max(1, len(live))
+        fair = self.overlay.effective_bandwidth(egress) / max(1, len(live))
         for src in sorted(port.throttled - live):
             inj = self.injectors.get(src)
             if inj:
@@ -961,10 +943,8 @@ class Engine:
                     fair, float(self.config.chunk_quantum_bytes), self.now]
                 port.throttled.add(src)
             else:
-                rate, tokens, last = bucket
-                tokens = min(float(self.config.chunk_quantum_bytes),
-                             tokens + (self.now - last) * rate)
-                bucket[0], bucket[1], bucket[2] = fair, tokens, self.now
+                self._refill(bucket)
+                bucket[0] = fair
 
     def _clear_throttles(self, port: Port) -> None:
         egress = port.link_id
@@ -981,7 +961,8 @@ class Engine:
         for pid in sorted(self.monitored):
             port = self.monitored[pid]
             live = frozenset(port.contributors) if port.detected else frozenset()
-            fair = self._eff_bw(port.link_id) / max(1, len(live))
+            fair = self.overlay.effective_bandwidth(port.link_id) \
+                / max(1, len(live))
             entries.append(CongestionEntry(port.link_id, port.detected, live, fair))
         return CongestionState(self.now, tuple(entries))
 
@@ -1020,23 +1001,3 @@ class Engine:
             incomplete_messages=incomplete,
         )
 
-
-def run_simulation(topo: Topology, overlay: StateOverlay,
-                   policy: RoutingPolicy | None, class_configs,
-                   workload, config: SimConfig,
-                   faults=()) -> SimReport:
-    """Simulate ``workload`` (placement + schedule) on the fabric.
-
-    ``faults`` is an iterable of (link, t_down, duration) flaps; duration
-    None draws from the 3..5 s retuning window.  Identical inputs and seed
-    produce a byte-identical report digest.
-    """
-    if class_configs is None:
-        class_configs = default_profile()
-    policy = policy or RoutingPolicy()
-    router = Router(topo, overlay, policy, seed=config.seed + 1000003)
-    engine = Engine(topo, overlay, router, class_configs, config)
-    for (link, t_down, duration) in faults:
-        engine.inject_fault(link, t_down, duration)
-    engine.load(workload.placement, workload.schedule)
-    return engine.run()

@@ -79,53 +79,68 @@ def validate_profile(configs) -> dict[int, TrafficClassConfig]:
 _WEIGHT_FLOOR = 0.02  # zero-minimum classes still get leftover bandwidth
 
 
-class PortState:
-    """Queues, deficits and rate-cap state for one directed port.
+class ClassProfile:
+    """The class setup every port of one engine shares: the validated
+    configs, the rotor order, the DRR quanta, the rate caps, the chunk
+    quantum, the QoS window and the rotor walk limit.
 
-    ``vc_queues`` maps each class that has queues, in class order, to its
-    queues in VC order: the order arbitration scans heads in.  ``capped``
-    lists the classes with a rate cap.
+    ``capped`` lists the classes with a rate cap; ``cap_rate_frac`` maps
+    each class to its cap fraction, or None when it is uncapped.
     """
 
-    __slots__ = (
-        "configs", "order", "weights", "quanta", "deficit", "queues",
-        "vc_queues", "queued_bytes", "cap_rate_frac", "capped",
-        "cap_tokens", "cap_last", "budget", "window", "window_end", "rr",
-        "chunk_quantum", "walk_limit",
-    )
+    __slots__ = ("configs", "order", "quanta", "cap_rate_frac", "capped",
+                 "chunk_quantum", "window", "walk_limit")
 
     def __init__(self, class_configs, chunk_quantum: int, window: float):
         self.configs = validate_profile(class_configs)
         self.order = sorted(self.configs)  # class ids, deterministic rotor order
-        self.weights = {c: max(self.configs[c].min_bw_fraction, _WEIGHT_FLOOR)
-                        for c in self.order}
-        wmin = min(self.weights.values())
+        weights = {c: max(self.configs[c].min_bw_fraction, _WEIGHT_FLOOR)
+                   for c in self.order}
+        wmin = min(weights.values())
         # smallest weight affords one chunk per rotor round
-        self.quanta = {c: self.weights[c] * chunk_quantum / wmin
-                       for c in self.order}
-        self.deficit = {c: 0.0 for c in self.order}
-        self.queues: dict[tuple[int, int], deque] = {}  # (class, vc) -> chunks
-        self.vc_queues: dict[int, list[deque]] = {}
-        self.queued_bytes = {c: 0 for c in self.order}
+        self.quanta = {c: weights[c] * chunk_quantum / wmin for c in self.order}
         self.cap_rate_frac = {
             c: (self.configs[c].max_bw_fraction
                 if self.configs[c].max_bw_fraction < 0.999 else None)
             for c in self.order}
         self.capped = tuple(c for c in self.order
                             if self.cap_rate_frac[c] is not None)
-        self.cap_tokens = {c: float(chunk_quantum) for c in self.order}
-        self.cap_last = {c: 0.0 for c in self.order}
-        self.budget = {c: 0.0 for c in self.order}
-        self.window = window
-        self.window_end = window
-        self.rr = 0
         self.chunk_quantum = chunk_quantum
+        self.window = window
         # rotor steps after which a walk granting quanta gives up
         self.walk_limit = len(self.order) * int(
             max(self.quanta.values()) / min(self.quanta.values()) + 2)
 
+
+class PortState:
+    """Queues, deficits and rate-cap state for one directed port.
+
+    ``vc_queues`` maps each class that has queues, in class order, to its
+    queues in VC order: the order arbitration scans heads in.  Everything
+    that is the same for every port lives in the shared ``profile``.
+    """
+
+    __slots__ = (
+        "profile", "deficit", "queues", "vc_queues", "queued_bytes",
+        "cap_tokens", "cap_last", "budget", "window_end", "rr",
+    )
+
+    def __init__(self, profile: ClassProfile):
+        self.profile = profile
+        order = profile.order
+        self.deficit = {c: 0.0 for c in order}
+        self.queues: dict[tuple[int, int], deque] = {}  # (class, vc) -> chunks
+        self.vc_queues: dict[int, list[deque]] = {}
+        self.queued_bytes = {c: 0 for c in order}
+        self.cap_tokens = {c: float(profile.chunk_quantum) for c in order}
+        self.cap_last = {c: 0.0 for c in order}
+        self.budget = {c: 0.0 for c in order}
+        self.window_end = profile.window
+        self.rr = 0
+
     def enqueue(self, chunk, traffic_class: int, vc: int) -> None:
-        if traffic_class not in self.configs:
+        profile = self.profile
+        if traffic_class not in profile.configs:
             raise QosError(f"unknown traffic class {traffic_class}")
         key = (traffic_class, vc)
         q = self.queues.get(key)
@@ -137,23 +152,22 @@ class PortState:
         if self.queued_bytes[traffic_class] == 0:
             # joining the rotor: grant one quantum so fresh low-latency
             # traffic is entitled immediately
-            self.deficit[traffic_class] = self.quanta[traffic_class]
+            self.deficit[traffic_class] = profile.quanta[traffic_class]
         q.append(chunk)
         self.queued_bytes[traffic_class] += chunk.length
 
     def backlog(self) -> int:
         return sum(self.queued_bytes.values())
 
-    def occupancy(self, traffic_class: int) -> int:
-        return self.queued_bytes[traffic_class]
-
     def _roll_window(self, now: float, rate: float) -> None:
         if now >= self.window_end:
-            periods = int((now - self.window_end) / self.window) + 1
-            self.window_end += periods * self.window
-            for c in self.order:
-                self.budget[c] = (self.configs[c].min_bw_fraction
-                                  * rate * self.window)
+            profile = self.profile
+            window = profile.window
+            periods = int((now - self.window_end) / window) + 1
+            self.window_end += periods * window
+            for c in profile.order:
+                self.budget[c] = (profile.configs[c].min_bw_fraction
+                                  * rate * window)
 
 
 def arbitrate(state: PortState, now: float, rate: float, can_send=None):
@@ -168,12 +182,14 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
     queued = state.queued_bytes
     if not any(queued.values()):
         return None, None
+    profile = state.profile
     cap_tokens = state.cap_tokens
-    for c in state.capped:  # refill the rate-cap token buckets
+    cap_rate_frac = profile.cap_rate_frac
+    for c in profile.capped:  # refill the rate-cap token buckets
         dt = now - state.cap_last[c]
         if dt > 0:
-            tokens = cap_tokens[c] + dt * state.cap_rate_frac[c] * rate
-            full = float(state.chunk_quantum)
+            tokens = cap_tokens[c] + dt * cap_rate_frac[c] * rate
+            full = float(profile.chunk_quantum)
             cap_tokens[c] = tokens if tokens < full else full
             state.cap_last[c] = now
     if now >= state.window_end:
@@ -186,7 +202,7 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
     for c, lanes in state.vc_queues.items():
         if not queued[c]:
             continue
-        frac = state.cap_rate_frac[c]
+        frac = cap_rate_frac[c]
         for q in lanes:
             if not q:
                 continue
@@ -204,7 +220,7 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
         return None, wake
 
     deficit = state.deficit
-    order = state.order
+    order = profile.order
     n = len(order)
     entitled = []
     for c, q in candidates.items():
@@ -216,7 +232,7 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
         # priority expedite: the budgeted, entitled class of highest
         # priority (lowest id on ties) goes first when its priority is
         # strictly above every other candidate's
-        configs, budget = state.configs, state.budget
+        configs, budget = profile.configs, state.budget
         top = None
         top_priority = 0
         for c in entitled:
@@ -240,7 +256,7 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
                     break
     else:
         # nobody entitled: walk the rotor granting quanta until someone is
-        for _ in range(state.walk_limit):
+        for _ in range(profile.walk_limit):
             state.rr = (state.rr + 1) % n
             c = order[state.rr]
             if not queued[c]:
@@ -249,7 +265,7 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
             for q in state.vc_queues[c]:
                 if q and q[0].length > longest:
                     longest = q[0].length
-            quantum = state.quanta[c]
+            quantum = profile.quanta[c]
             deficit[c] = min(deficit[c] + quantum, quantum + longest)
             q = candidates.get(c)
             if q is not None and deficit[c] >= q[0].length:
@@ -265,6 +281,6 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
     deficit[pick] = deficit[pick] - length if left else 0.0
     if via_priority:
         state.budget[pick] -= length
-    if state.cap_rate_frac[pick] is not None:
+    if cap_rate_frac[pick] is not None:
         cap_tokens[pick] -= length
     return chunk, None

@@ -91,9 +91,6 @@ class CongestionView:
         self._occ = occ or {}
         self._group_load = group_load or {}
 
-    def occupancy(self, link: int, direction: int) -> float:
-        return self._occ.get((link, direction), 0.0)
-
     def group_load(self, group: int) -> float:
         return self._group_load.get(group, 0.0)
 
@@ -147,9 +144,6 @@ class FlowTable:
         ent[1] -= 1
         if ent[1] <= 0:
             del self._entries[key]
-
-    def drop(self, key) -> None:
-        self._entries.pop(key, None)
 
     def __len__(self) -> int:
         return len(self._entries)

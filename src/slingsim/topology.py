@@ -213,13 +213,6 @@ class Topology:
     def compute_groups(self) -> list[int]:
         return [g for g, k in enumerate(self.group_kinds) if k == KIND_COMPUTE]
 
-    def compute_nodes(self) -> list[int]:
-        out: list[int] = []
-        for g in self.compute_groups():
-            for s in self.switches_of_group(g):
-                out.extend(self.nodes_of_switch(s))
-        return out
-
     def compute_endpoint_count(self) -> int:
         return (self.spec.compute_groups * self.spec.switches_per_group
                 * self.spec.endpoints_per_switch)
@@ -378,8 +371,8 @@ def endpoint_at_address(topo: Topology, addr: FabricAddress) -> int:
 
 @dataclass(slots=True)
 class LinkState:
-    status: str = STATUS_UP
-    active_lanes: int = -1  # -1 means all lanes
+    status: str
+    active_lanes: int
 
 
 class StateOverlay:
@@ -435,15 +428,6 @@ class StateOverlay:
         """Links currently down or in maintenance."""
         return frozenset(l for l, st in sorted(self._states.items())
                          if st.status != STATUS_UP)
-
-
-def set_link_state(overlay: StateOverlay, link: int,
-                   state: LinkState) -> StateOverlay:
-    """Record ``state`` for ``link`` in the overlay and return it."""
-    lanes = state.active_lanes
-    if lanes == -1:
-        lanes = overlay.topo.spec.lanes_per_link
-    return overlay.set_link_state(link, status=state.status, active_lanes=lanes)
 
 
 # -- aggregate metrics -------------------------------------------------------

@@ -63,7 +63,7 @@ def class_state(state) -> tuple:
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(enqueue_op, arbitrate_op), min_size=40, max_size=250))
 def test_arbitrate_matches_reference(ops):
-    live = qos.PortState(default_profile(), QUANTUM, WINDOW)
+    live = qos.PortState(qos.ClassProfile(default_profile(), QUANTUM, WINDOW))
     frozen = ref.PortState(default_profile(), QUANTUM, WINDOW)
     now = 0.0
     for n, op in enumerate(ops):
@@ -92,8 +92,9 @@ def test_arbitrate_matches_reference(ops):
 def test_capped_class_reports_wake_time():
     """A rate-capped head beyond its tokens idles the port until the tokens
     suffice, in both implementations."""
-    for impl in (qos, ref):
-        state = impl.PortState(default_profile(), QUANTUM, WINDOW)
+    for impl, state in (
+            (qos, qos.PortState(qos.ClassProfile(default_profile(), QUANTUM, WINDOW))),
+            (ref, ref.PortState(default_profile(), QUANTUM, WINDOW))):
         state.enqueue(Chunk(0, QUANTUM), qos.ETHERNET, 0)
         state.enqueue(Chunk(1, QUANTUM), qos.ETHERNET, 0)
         first, _ = impl.arbitrate(state, 0.0, RATE)

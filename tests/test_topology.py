@@ -17,7 +17,6 @@ from slingsim.topology import (
     KIND_SERVICE,
     KIND_STORAGE,
     LOCAL,
-    LinkState,
     StateOverlay,
     TopologyError,
     TopologySpec,
@@ -29,7 +28,6 @@ from slingsim.topology import (
     parse_spec_text,
     port_id,
     port_key,
-    set_link_state,
     topology_metrics,
 )
 
@@ -244,12 +242,12 @@ def test_overlay_round_trip_and_exclusion():
     topo = build_topology(small_spec())
     ov = StateOverlay(topo)
     link = topo.fabric_link_ids()[3]
-    set_link_state(ov, link, LinkState(status="maintenance"))
+    ov.set_link_state(link, status="maintenance")
     assert not ov.link_usable(link)
     assert link in ov.excluded_links()
-    set_link_state(ov, link, LinkState(status="down"))
+    ov.set_link_state(link, status="down")
     assert not ov.link_usable(link)
-    set_link_state(ov, link, LinkState(status="up"))
+    ov.set_link_state(link, status="up")
     assert ov.link_usable(link)
     assert ov.excluded_links() == frozenset()
 
