@@ -9,11 +9,10 @@ transmitting and releases its own at transmit end, which is credit-based
 flow control with monotonically increasing VC index, so buffer wait cycles
 cannot form.
 
-Directed ports are identified by the integer port id ``2 * link +
-direction`` (``topology.port_id``; direction 0 travels a->b, and on edge
-links endpoint->switch).  Chunk paths, ``Engine.ports``, ``active_ports``
-and ``monitored`` use these ids; ``Port.key`` keeps the ``(link,
-direction)`` pair that keys the congestion view.
+Directed ports are identified by the integer port id of
+``topology.port_id`` (direction 0 travels a->b, and on edge links
+endpoint->switch).  Routes, chunk paths, the congestion view,
+``Engine.ports``, ``active_ports`` and ``monitored`` all use these ids.
 
 Congestion management watches the switch-side queues of NIC delivery links.
 A queue that stays above the detection threshold for the dwell time marks
@@ -23,7 +22,9 @@ rate, with hysteresis on release.  Traffic to other destinations is never
 throttled.
 
 Link faults flush and invalidate in-flight chunks; each lost chunk retries
-from its source after the retry timeout and counts one network timeout.
+from its source after the retry timeout and counts one network timeout.  A
+chunk that has retried ``max_retries`` times, lost or without a route, fails
+its message.
 Route choice consults the last routing sweep, so a failed link keeps
 attracting (and bouncing) traffic until the next sweep excludes it.
 """
@@ -47,6 +48,7 @@ class SimConfigError(ValueError):
 
 
 MAX_VC = 8  # edge + up to 5 fabric hops + edge, with margin
+DEFAULT_WINDOW = 16  # outstanding messages per rank when a schedule sets none
 
 
 @dataclass(slots=True)
@@ -64,7 +66,6 @@ class SimConfig:
     series_interval_us: float = 50.0
     sweep_interval_s: float = 5.0
     max_retries: int = 8
-    default_window: int = 16
 
     def theta(self) -> int:
         return self.cc_theta_bytes or 4 * self.chunk_quantum_bytes
@@ -117,7 +118,7 @@ class Chunk:
         self.path = path  # port ids
         self.hop = 0  # index of the port currently being traversed/queued
         self.tx_gen = 0
-        self.retries = 0
+        self.retries = 0  # timeouts over the chunk's whole life
 
 
 class Port:
@@ -128,7 +129,7 @@ class Port:
     """
 
     __slots__ = (
-        "id", "key", "link", "link_id", "state", "committed", "occ", "busy",
+        "id", "link", "link_id", "state", "committed", "occ", "busy",
         "waiters", "wake_at", "is_edge_in", "contributors", "detected",
         "above_since", "below_since", "throttled", "delay", "rate",
         "rate_gen",
@@ -136,7 +137,6 @@ class Port:
 
     def __init__(self, pid: int, link, state: PortState, delay: float):
         self.id = pid
-        self.key = port_key(pid)
         self.link = link
         self.link_id = link.id
         self.state = state
@@ -145,7 +145,7 @@ class Port:
         self.busy: Chunk | None = None
         self.waiters: dict = {}  # Port or Injector -> None, in wait order
         self.wake_at = float("inf")
-        self.is_edge_in = link.kind == EDGE and self.key[1] == 1
+        self.is_edge_in = link.kind == EDGE and port_key(pid)[1] == 1
         self.delay = delay  # propagation delay of the link
         self.rate = 0.0
         self.rate_gen = -1
@@ -246,7 +246,7 @@ class Engine:
         self._rank_queues: list[list[Message]] = []
         self._rank_next: list[int] = []
         self._outstanding: list[int] = []
-        self._window = config.default_window
+        self._window = DEFAULT_WINDOW
         self._barrier = "none"
         self._rank_phase: list[int] = []
         self._rank_involved: list[list[int]] = []
@@ -273,7 +273,7 @@ class Engine:
         phase-barrier rules and the per-rank outstanding window."""
         n = placement.ranks
         self._barrier = schedule.barrier
-        self._window = schedule.window or self.config.default_window
+        self._window = schedule.window or DEFAULT_WINDOW
         self._rank_queues = [[] for _ in range(n)]
         self._outstanding = [0] * n
         self._rank_next = [0] * n
@@ -345,7 +345,7 @@ class Engine:
     @staticmethod
     def _build_path(src: int, dst: int, route: Route,
                     topo: Topology) -> tuple[int, ...]:
-        return (port_id(topo.edge_link_of_endpoint(src), 0), *route.port_ids,
+        return (port_id(topo.edge_link_of_endpoint(src), 0), *route.ports,
                 port_id(topo.edge_link_of_endpoint(dst), 1))
 
     # -- run loop ----------------------------------------------------------------
@@ -519,7 +519,12 @@ class Engine:
         tokens = self._refill(bucket)
         if tokens >= length:
             return True, 0.0
-        return False, self.now + (length - tokens) / bucket[0]
+        wake = self.now + (length - tokens) / bucket[0]
+        # a shortfall too small to move the clock is paid: waking at now
+        # would find the same tokens and wake at now again, forever
+        if wake <= self.now:
+            return True, 0.0
+        return False, wake
 
     def _charge_throttle(self, inj: Injector, msg: Message, length: int) -> None:
         bucket = self._throttle(inj, msg)
@@ -747,7 +752,6 @@ class Engine:
             self._lose_chunk(chunk, chunk.hop + 1, link_id)
             return
         hop = chunk.hop = chunk.hop + 1
-        chunk.retries = 0
         if hop >= len(path):
             self._deliver(chunk)
             return
@@ -788,20 +792,33 @@ class Engine:
     def _lose_chunk(self, chunk: Chunk, vc: int, link_id: int) -> None:
         """``chunk`` was lost on ``link_id``: hand back its reservation in
         pool ``vc`` of the port at ``chunk.path[vc]`` (none when ``vc`` is
-        past the path's end), wake that port's waiters and schedule the
-        retry."""
+        past the path's end), wake that port's waiters and retry the chunk
+        or fail its message (``_retry_later``)."""
         path = chunk.path
         if vc < len(path):
             port = self.ports[path[vc]]
             port.committed[vc] -= chunk.length
             port.occ -= chunk.length
             self._wake_waiters(port)
-        self._note_timeout(chunk.msg, link_id)
-        if chunk.msg.done:
-            if chunk.msg.failed:
+        self._retry_later(chunk, link_id)
+
+    def _retry_later(self, chunk: Chunk, link_id: int) -> None:
+        """Count a timeout for ``chunk`` on ``link_id`` and schedule its
+        retry, or fail its message once the chunk has retried
+        ``max_retries`` times."""
+        msg = chunk.msg
+        self._note_timeout(msg, link_id)
+        if msg.done:
+            if msg.failed:
                 self.failed_bytes += chunk.length
             return
-        self._push(self.now + self.config.retry_timeout_us * 1e-6, K_RETRY, chunk)
+        chunk.retries += 1
+        if chunk.retries > self.config.max_retries:
+            self.failed_bytes += chunk.length
+            self._fail(msg)
+        else:
+            self._push(self.now + self.config.retry_timeout_us * 1e-6,
+                       K_RETRY, chunk)
 
     def _on_retry(self, chunk: Chunk) -> None:
         msg = chunk.msg
@@ -820,14 +837,7 @@ class Engine:
                 route = self.router.select_route(
                     msg.src, msg.dst, msg.traffic_class, False, self.view)
         except NoRouteError:
-            chunk.retries += 1
-            self._note_timeout(msg, self.topo.edge_link_of_endpoint(msg.src))
-            if chunk.retries > self.config.max_retries:
-                self.failed_bytes += chunk.length
-                self._fail(msg)
-            else:
-                self._push(self.now + self.config.retry_timeout_us * 1e-6,
-                           K_RETRY, chunk)
+            self._retry_later(chunk, self.topo.edge_link_of_endpoint(msg.src))
             return
         chunk.path = self._build_path(msg.src, msg.dst, route, self.topo)
         chunk.hop = 0
@@ -878,12 +888,12 @@ class Engine:
             self._cc_update()
 
     def _rebuild_view(self) -> None:
-        occ: dict[tuple[int, int], float] = {}
+        occ: dict[int, float] = {}
         group_load: dict[int, float] = {}
         for port in self.active_ports.values():
             if port.occ <= 0:
                 continue
-            occ[port.key] = float(port.occ)
+            occ[port.id] = float(port.occ)
             if port.link.kind == GLOBAL:
                 for sw in (port.link.switch_a, port.link.switch_b):
                     g = self.topo.group_of_switch(sw)

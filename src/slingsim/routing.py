@@ -8,6 +8,11 @@ the route, where non-minimal candidates carry a configurable bias weight.
 Ties rank by the occupancy-free weight and then by candidate index, so the
 choice is deterministic and invariant under uniform scaling of occupancies.
 
+A route is the tuple of directed port ids (``topology.port_id``) it
+travels, and the congestion view is keyed by the same ids, so the engine
+splices a route into a chunk's path as is and scoring a candidate takes one
+lookup per hop.
+
 Route sets are recomputed by periodic sweeps: enumeration consults the last
 swept snapshot of link states, not the live overlay, so a link that flaps
 between sweeps keeps its pre-flap routability until the next sweep.
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable
 
-from slingsim.topology import StateOverlay, Topology, port_id
+from slingsim.topology import StateOverlay, Topology, port_id, port_key
 
 
 class RoutingError(ValueError):
@@ -33,30 +38,16 @@ class NoRouteError(RoutingError):
 
 @dataclass(frozen=True, slots=True)
 class Route:
-    """An ordered sequence of fabric links between two switches.
+    """An ordered sequence of fabric hops between two switches.
 
-    ``dirs[i]`` is 0 when hop i travels from the link's a-side to its b-side.
-    ``switches`` lists the visited switches (len(hops) + 1 entries).
+    ``ports[i]`` is the directed port id (``topology.port_id``) of hop i;
+    each port leaves the switch the previous one reached.
+    ``intermediate_group`` is the detour group of a non-minimal route and
+    None for a minimal one.
     """
 
-    hops: tuple[int, ...]
-    dirs: tuple[int, ...]
-    switches: tuple[int, ...]
-    kind: str  # 'minimal' | 'nonminimal'
+    ports: tuple[int, ...]
     intermediate_group: int | None = None
-
-    @property
-    def hop_count(self) -> int:
-        return len(self.hops)
-
-    @property
-    def port_ids(self) -> tuple[int, ...]:
-        """Directed port id of every hop (see ``topology.port_id``)."""
-        return tuple(map(port_id, self.hops, self.dirs))
-
-
-MINIMAL = "minimal"
-NONMINIMAL = "nonminimal"
 
 
 @dataclass(slots=True)
@@ -80,12 +71,12 @@ _ZEROS = repeat(0.0)  # default occupancy of every port absent from a view
 
 class CongestionView:
     """Read-only snapshot of directed queue occupancies (non-negative bytes,
-    keyed by ``(link, direction)``) and group loads."""
+    keyed by port id) and group loads."""
 
     __slots__ = ("time", "_occ", "_group_load")
 
     def __init__(self, time: float = 0.0,
-                 occ: dict[tuple[int, int], float] | None = None,
+                 occ: dict[int, float] | None = None,
                  group_load: dict[int, float] | None = None):
         self.time = time
         self._occ = occ or {}
@@ -95,8 +86,7 @@ class CongestionView:
         return self._group_load.get(group, 0.0)
 
     def route_max_occupancy(self, route: Route) -> float:
-        return max(map(self._occ.get, zip(route.hops, route.dirs), _ZEROS),
-                   default=0.0)
+        return max(map(self._occ.get, route.ports, _ZEROS), default=0.0)
 
     def scaled(self, factor: float) -> "CongestionView":
         return CongestionView(
@@ -152,12 +142,12 @@ class FlowTable:
 # -- enumeration ---------------------------------------------------------------
 
 
-def _hop(topo: Topology, link_id: int, from_switch: int) -> tuple[int, int, int]:
-    """(link, dir, to_switch) for traveling link_id out of from_switch."""
+def _hop(topo: Topology, link_id: int, from_switch: int) -> tuple[int, int]:
+    """(port, to_switch) for traveling link_id out of from_switch."""
     link = topo.links[link_id]
     if link.switch_a == from_switch:
-        return link_id, 0, link.switch_b
-    return link_id, 1, link.switch_a
+        return port_id(link_id, 0), link.switch_b
+    return port_id(link_id, 1), link.switch_a
 
 
 def _first_usable_local(topo: Topology, view, sa: int, sb: int) -> int | None:
@@ -186,62 +176,47 @@ def enumerate_minimal_routes(topo: Topology, view, src_switch: int,
         NoRouteError: every candidate is down or in maintenance.
     """
     if src_switch == dst_switch:
-        return (Route((), (), (src_switch,), MINIMAL),)
+        return (Route(()),)
     ga = topo.group_of_switch(src_switch)
     gb = topo.group_of_switch(dst_switch)
     routes: list[Route] = []
     if ga == gb:
         key = (min(src_switch, dst_switch), max(src_switch, dst_switch))
         for lid in topo.local_links.get(key, ()):
-            if not view.link_usable(lid):
-                continue
-            link, d, _ = _hop(topo, lid, src_switch)
-            routes.append(Route((link,), (d,), (src_switch, dst_switch), MINIMAL))
+            if view.link_usable(lid):
+                routes.append(Route((_hop(topo, lid, src_switch)[0],)))
     else:
         for gl in _usable_globals(topo, view, ga, gb):
             link = topo.links[gl]
             a_sw, b_sw = link.switch_a, link.switch_b
             if topo.group_of_switch(a_sw) != ga:
                 a_sw, b_sw = b_sw, a_sw
-            hops: list[int] = []
-            dirs: list[int] = []
-            sws: list[int] = [src_switch]
+            lids: list[int] = []
             if a_sw != src_switch:
                 lid = _first_usable_local(topo, view, src_switch, a_sw)
                 if lid is None:
                     continue
-                _, d, _ = _hop(topo, lid, src_switch)
-                hops.append(lid)
-                dirs.append(d)
-                sws.append(a_sw)
-            _, d, _ = _hop(topo, gl, a_sw)
-            hops.append(gl)
-            dirs.append(d)
-            sws.append(b_sw)
+                lids.append(lid)
+            lids.append(gl)
             if b_sw != dst_switch:
                 lid = _first_usable_local(topo, view, b_sw, dst_switch)
                 if lid is None:
                     continue
-                _, d, _ = _hop(topo, lid, b_sw)
-                hops.append(lid)
-                dirs.append(d)
-                sws.append(dst_switch)
-            routes.append(Route(tuple(hops), tuple(dirs), tuple(sws), MINIMAL))
+                lids.append(lid)
+            routes.append(Route(_travel(topo, src_switch, lids)))
     if not routes:
         raise NoRouteError(
             f"no usable minimal route between switches {src_switch} and {dst_switch}")
     return tuple(routes)
 
 
-def _travel(topo: Topology, at: int, lids: list[int]):
-    """(hops, dirs, switches reached) travelling ``lids`` out of switch ``at``."""
-    dirs: list[int] = []
-    sws: list[int] = []
+def _travel(topo: Topology, at: int, lids: list[int]) -> tuple[int, ...]:
+    """Port ids travelling ``lids`` out of switch ``at``."""
+    ports: list[int] = []
     for lid in lids:
-        _, d, at = _hop(topo, lid, at)
-        dirs.append(d)
-        sws.append(at)
-    return tuple(lids), tuple(dirs), tuple(sws)
+        port, at = _hop(topo, lid, at)
+        ports.append(port)
+    return tuple(ports)
 
 
 def enumerate_nonminimal_routes(topo: Topology, view, src_switch: int,
@@ -293,21 +268,15 @@ def enumerate_nonminimal_routes(topo: Topology, view, src_switch: int,
                 continue
             lids.append(lid)
         lids.append(gl_in)
-        hops, dirs, sws = _travel(topo, src_switch, lids)
-        sws = (src_switch,) + sws
-        for i2, (out_hops, out_dirs, out_sws) in exits:
+        head = _travel(topo, src_switch, lids)
+        for i2, tail in exits:
             if i1 == i2:
-                routes.append(Route(hops + out_hops, dirs + out_dirs,
-                                    sws + out_sws, NONMINIMAL,
-                                    intermediate_group))
+                routes.append(Route(head + tail, intermediate_group))
                 continue
             lid = _first_usable_local(topo, view, i1, i2)
             if lid is None:
                 continue
-            _, d, _ = _hop(topo, lid, i1)
-            routes.append(Route(hops + (lid,) + out_hops,
-                                dirs + (d,) + out_dirs,
-                                sws + (i2,) + out_sws, NONMINIMAL,
+            routes.append(Route(head + (_hop(topo, lid, i1)[0],) + tail,
                                 intermediate_group))
     if not routes:
         raise NoRouteError(
@@ -439,7 +408,8 @@ class Router:
                                  view or CongestionView()))
 
     def route_usable(self, route: Route) -> bool:
-        return all(self.tables.link_usable(l) for l in route.hops)
+        usable = self.tables.link_usable
+        return all(usable(port_key(p)[0]) for p in route.ports)
 
     def _decide(self, src_endpoint: int, dst_endpoint: int,
                 view: CongestionView) -> Route:
@@ -493,7 +463,7 @@ class Router:
                     hit = _best(routes, weight, view)
                     memo[id(routes)] = hit[2]
                 else:
-                    w = weight * (len(route.hops) + 1)
+                    w = weight * (len(route.ports) + 1)
                     hit = w * view.route_max_occupancy(route), w, route
                 if best is None or hit[:2] < best[:2]:
                     best = hit
@@ -509,7 +479,7 @@ def _best(routes: tuple[Route, ...], weight: float, view: CongestionView):
     score = view.route_max_occupancy
     best = None
     for r in routes:
-        w = weight * (len(r.hops) + 1)
+        w = weight * (len(r.ports) + 1)
         cost = w * score(r)
         if best is None or cost < best_cost or (
                 cost == best_cost and w < best_w):

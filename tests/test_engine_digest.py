@@ -3,10 +3,14 @@
 Each scenario pins the report digest recorded before the per-chunk hot path
 was reworked, so any change to an event, an RNG draw or a tie-break in the
 engine, QoS arbitration or route selection shows up as a digest mismatch.
-Every run must also conserve bytes and hand back every buffer credit.
+Every run must also conserve bytes and hand back every buffer credit, and
+finish within a host-time budget, so a run that stops making progress fails
+instead of hanging the suite.
 """
 
 import random
+import signal
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -19,6 +23,7 @@ from slingsim.topology import StateOverlay, build_topology
 from conftest import bench_spec
 
 KIB = 1024
+RUN_BUDGET_S = 60.0  # host seconds; each run here takes a few at most
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,10 @@ def incast_with_background(n: int, size: int, seed: int):
     return Placement(n, tuple(range(n))), Schedule((Phase(tuple(msgs)),))
 
 
+def _out_of_time(signum, frame):
+    raise TimeoutError(f"Engine.run took over {RUN_BUDGET_S} s of host time")
+
+
 def run(workload, cc: bool, mode: str = "adaptive", flaps=()):
     topo = build_topology(bench_spec())
     overlay = StateOverlay(topo)
@@ -78,7 +87,13 @@ def run(workload, cc: bool, mode: str = "adaptive", flaps=()):
     for pick, t_down, duration in flaps:
         engine.inject_fault(pick(topo), t_down, duration)
     engine.load(*workload)
-    report = engine.run()
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, RUN_BUDGET_S)
+    try:
+        report = engine.run()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert report.injected_bytes == report.delivered_bytes + report.failed_bytes
     for key, port in engine.ports.items():
         assert not any(port.committed) and port.occ == 0, key
@@ -125,3 +140,28 @@ def test_permutation_minimal_routing():
     _, report = run(permutation(128, 64 * KIB, 1), cc=False, mode="minimal")
     assert report.digest == \
         "0751cb131d09ba62e6d387e9b3a591e80b35c4b86e075f99354c6e3ae2094e7d"
+
+
+def test_incast_64k_cc_completes():
+    """The inputs of the incast_cc benchmark workload.  An injector throttle
+    bucket short of a chunk by less than the clock can resolve used to wake
+    its injector at the same instant forever."""
+    _, report = run(incast_with_background(128, 64 * KIB, 1), cc=True)
+    assert report.incomplete_messages == 0 and report.failed_bytes == 0
+    assert not any(m.failed for m in report.messages)
+
+
+def test_long_flap_bounds_retries():
+    """A global link stays down for 4 s, past the end of the run and short
+    of the first routing sweep, so routes keep offering it.  Every lost
+    chunk retries at most ``max_retries`` times before its message fails,
+    so every message resolves."""
+    flaps = [(first_global, 5e-6, 4.0)]
+    _, report = run(permutation(128, 64 * KIB, 1), cc=False, flaps=flaps)
+    assert report.incomplete_messages == 0
+    failed = [m for m in report.messages if m.failed]
+    assert failed and report.failed_bytes > 0
+    chunks = 64 * KIB // SimConfig().chunk_quantum_bytes
+    per_message = Counter(e.message_id for e in report.timeout_events)
+    assert max(per_message.values()) <= \
+        chunks * (SimConfig().max_retries + 1)
