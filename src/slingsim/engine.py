@@ -17,16 +17,18 @@ endpoint->switch).  Routes, chunk paths, the congestion view,
 Congestion management watches the switch-side queues of NIC delivery links.
 A queue that stays above the detection threshold for the dwell time marks
 the link congested; the sources seen feeding it during the dwell window are
-its contributors and get injection-throttled to an equal split of the link
-rate, with hysteresis on release.  Traffic to other destinations is never
-throttled.
+its contributors and get injection-throttled (one ``qos.TokenBucket`` per
+source and link) to an equal split of the link rate, with hysteresis on
+release.  Traffic to other destinations is never throttled.
 
 Link faults flush and invalidate in-flight chunks; each lost chunk retries
 from its source after the retry timeout and counts one network timeout.  A
 chunk that has retried ``max_retries`` times, lost or without a route, fails
 its message.
 Route choice consults the last routing sweep, so a failed link keeps
-attracting (and bouncing) traffic until the next sweep excludes it.
+attracting (and bouncing) traffic until the next sweep excludes it.  Every
+chunk of an ordered flow takes the flow's pinned route; a sweep that finds
+it unusable makes the flow re-pin once, for all its messages.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import random
 from dataclasses import dataclass
 from itertools import count
 
-from slingsim.qos import ClassProfile, PortState, arbitrate
+from slingsim.qos import ClassProfile, PortState, TokenBucket, arbitrate
 from slingsim.report import FlapEvent, MessageRecord, SimReport, TimeoutEvent
 from slingsim.routing import CongestionView, NoRouteError, Route, Router
 from slingsim.topology import EDGE, GLOBAL, StateOverlay, Topology, port_id, \
@@ -49,6 +51,7 @@ class SimConfigError(ValueError):
 
 MAX_VC = 8  # edge + up to 5 fabric hops + edge, with margin
 DEFAULT_WINDOW = 16  # outstanding messages per rank when a schedule sets none
+BARRIERS = ("none", "rank", "global")
 
 
 @dataclass(slots=True)
@@ -102,7 +105,6 @@ class Message:
     fully_released: bool = False
     failed: bool = False
     done: bool = False
-    route: Route | None = None  # pinned route for ordered traffic
     stall_retries: int = 0
     stalled_until: float = -1.0
 
@@ -184,8 +186,8 @@ class Injector:
         self.active: list[Message] = []
         self.rr = 0
         self.retries: list[Chunk] = []
-        # egress edge link -> [rate, tokens, last_refill]
-        self.throttles: dict[int, list[float]] = {}
+        # egress edge link -> bucket at that link's fair share
+        self.throttles: dict[int, TokenBucket] = {}
         self.registered = False
         self.wake_at = float("inf")
 
@@ -272,6 +274,14 @@ class Engine:
         """Install a workload: one message per schedule entry, released per
         phase-barrier rules and the per-rank outstanding window."""
         n = placement.ranks
+        if schedule.barrier not in BARRIERS:
+            raise SimConfigError(f"unknown barrier {schedule.barrier!r}")
+        if schedule.window < 0:
+            raise SimConfigError("window must be >= 0")
+        if len(placement.endpoint_of) < n or not all(
+                0 <= ep < self.topo.total_endpoints
+                for ep in placement.endpoint_of):
+            raise SimConfigError("placement needs one fabric endpoint per rank")
         self._barrier = schedule.barrier
         self._window = schedule.window or DEFAULT_WINDOW
         self._rank_queues = [[] for _ in range(n)]
@@ -302,6 +312,7 @@ class Engine:
                 self._phase_total[p] += 1
         self._rank_done = [[0] * len(phases) for _ in range(n)]
         self._rank_phase = [0] * n
+        self._advance_phases(range(n))  # past phases with nothing to wait for
         self.unresolved = len(self.messages)
         if self.messages and self.config.duration_s <= 0:
             raise SimConfigError("duration_s must be > 0 for a nonempty workload")
@@ -436,13 +447,14 @@ class Engine:
     def _issue(self, msg: Message) -> None:
         msg.issue_time = self.now
         if msg.ordered:
-            key = (msg.src, msg.dst, msg.traffic_class)
+            # pin at issue; a flow without a route re-pins at its first chunk
             try:
-                msg.route = self.router.select_route(
+                self.router.select_route(
                     msg.src, msg.dst, msg.traffic_class, True, self.view)
-                self.router.flow_table.add_pending(key)
             except NoRouteError:
-                msg.route = None  # resolved at release time via stall path
+                pass
+            self.router.flow_table.add_pending(
+                (msg.src, msg.dst, msg.traffic_class))
         inj = self._injector(msg.src)
         inj.active.append(msg)
         self._run_injector(inj)
@@ -451,7 +463,7 @@ class Engine:
         """Common bookkeeping once a message completes or fails."""
         msg.done = True
         self.unresolved -= 1
-        if msg.ordered and msg.route is not None:
+        if msg.ordered:
             self.router.flow_table.release((msg.src, msg.dst, msg.traffic_class))
         rank = msg.src_rank
         self._outstanding[rank] -= 1
@@ -462,28 +474,32 @@ class Engine:
             self._rank_done[msg.dst_rank][p] += 1
             unlocked.append(msg.dst_rank)
         self._phase_done[p] += 1
-        if self._barrier == "rank":
-            for r in unlocked:
-                while (self._rank_phase[r] < len(self._phase_total)
-                       and self._rank_done[r][self._rank_phase[r]]
-                       >= self._rank_involved[r][self._rank_phase[r]]):
-                    self._rank_phase[r] += 1
+        if self._advance_phases(unlocked):
+            self._release_ready()
+        else:
             for r in unlocked:
                 self._release_rank(r)
-        elif self._barrier == "global":
-            advanced = False
-            while (self._global_phase < len(self._phase_total)
-                   and self._phase_done[self._global_phase]
-                   >= self._phase_total[self._global_phase]):
-                self._global_phase += 1
-                advanced = True
-            if advanced:
-                self._release_ready()
-            else:
-                self._release_rank(rank)
-        else:
-            self._release_rank(rank)
         self._check_done()
+
+    def _advance_phases(self, ranks) -> bool:
+        """Move the barrier past every finished phase: the phase of each
+        rank in ``ranks`` under the rank barrier, the global phase under
+        the global one.  Returns whether the global phase moved."""
+        phases = len(self._phase_total)
+        if self._barrier == "rank":
+            for r in ranks:
+                done, involved = self._rank_done[r], self._rank_involved[r]
+                p = self._rank_phase[r]
+                while p < phases and done[p] >= involved[p]:
+                    p += 1
+                self._rank_phase[r] = p
+        elif self._barrier == "global":
+            start = p = self._global_phase
+            while p < phases and self._phase_done[p] >= self._phase_total[p]:
+                p += 1
+            self._global_phase = p
+            return p != start
+        return False
 
     def _complete(self, msg: Message) -> None:
         msg.completion_time = self.now
@@ -498,38 +514,17 @@ class Engine:
 
     # -- injection -------------------------------------------------------------------
 
-    def _throttle(self, inj: Injector, msg: Message) -> list[float] | None:
-        """The token bucket limiting ``inj``'s traffic to ``msg.dst``."""
-        return inj.throttles.get(self.topo.edge_link_of_endpoint(msg.dst))
-
-    def _refill(self, bucket: list[float]) -> float:
-        """Refill ``bucket`` up to now, to at most one chunk, and return its
-        tokens."""
-        rate, tokens, last = bucket
-        tokens = min(float(self.config.chunk_quantum_bytes),
-                     tokens + (self.now - last) * rate)
-        bucket[1], bucket[2] = tokens, self.now
-        return tokens
-
-    def _throttle_ok(self, inj: Injector, msg: Message,
-                     length: int) -> tuple[bool, float]:
-        bucket = self._throttle(inj, msg)
-        if bucket is None:
-            return True, 0.0
-        tokens = self._refill(bucket)
-        if tokens >= length:
-            return True, 0.0
-        wake = self.now + (length - tokens) / bucket[0]
-        # a shortfall too small to move the clock is paid: waking at now
-        # would find the same tokens and wake at now again, forever
-        if wake <= self.now:
-            return True, 0.0
-        return False, wake
+    def _throttle_wait(self, inj: Injector, msg: Message,
+                       length: int) -> float | None:
+        """None when ``inj``'s throttle toward ``msg.dst``, if any, lets
+        ``length`` bytes go now, else the time it will."""
+        bucket = inj.throttles.get(self.topo.edge_link_of_endpoint(msg.dst))
+        return None if bucket is None else bucket.wait(self.now, length)
 
     def _charge_throttle(self, inj: Injector, msg: Message, length: int) -> None:
-        bucket = self._throttle(inj, msg)
+        bucket = inj.throttles.get(self.topo.edge_link_of_endpoint(msg.dst))
         if bucket is not None:
-            bucket[1] -= length
+            bucket.tokens -= length
 
     def _run_injector(self, inj: Injector) -> None:
         out = self._port(inj.out_port)
@@ -548,8 +543,8 @@ class Engine:
                     if cand.msg.failed:
                         self.failed_bytes += cand.length
                     continue
-                ok, t = self._throttle_ok(inj, cand.msg, cand.length)
-                if ok:
+                t = self._throttle_wait(inj, cand.msg, cand.length)
+                if t is None:
                     if out.committed[0] + cand.length > buffer:
                         self._wait_credit(inj, out)
                         break
@@ -593,8 +588,8 @@ class Engine:
                 earliest = t if earliest is None else min(earliest, t)
                 continue
             length = min(quantum, msg.size - msg.released) if msg.size else 0
-            ok, t = self._throttle_ok(inj, msg, length)
-            if not ok:
+            t = self._throttle_wait(inj, msg, length)
+            if t is not None:
                 earliest = t if earliest is None else min(earliest, t)
                 continue
             if out.committed[0] + length > buffer:
@@ -607,19 +602,12 @@ class Engine:
         return earliest
 
     def _make_chunk(self, inj: Injector, msg: Message, quantum: int) -> Chunk | None:
-        if msg.ordered:
-            route = msg.route
-            if route is None or not self.router.route_usable(route):
-                route = self._reroute_ordered(msg)
-                if route is None:
-                    return None
-        else:
-            try:
-                route = self.router.select_route(
-                    msg.src, msg.dst, msg.traffic_class, False, self.view)
-            except NoRouteError:
-                self._stall(msg)
-                return None
+        try:
+            route = self.router.select_route(
+                msg.src, msg.dst, msg.traffic_class, msg.ordered, self.view)
+        except NoRouteError:
+            self._stall(msg)
+            return None
         length = min(quantum, msg.size - msg.released) if msg.size else 0
         chunk = Chunk(msg, msg.released, length,
                       self._build_path(msg.src, msg.dst, route, self.topo))
@@ -629,19 +617,6 @@ class Engine:
         self.injected_bytes += length
         self._charge_throttle(inj, msg, length)
         return chunk
-
-    def _reroute_ordered(self, msg: Message) -> Route | None:
-        had_pin = msg.route is not None
-        try:
-            route = self.router.repin(msg.src, msg.dst, msg.traffic_class, self.view)
-        except NoRouteError:
-            self._stall(msg)
-            return None
-        if not had_pin:
-            self.router.flow_table.add_pending(
-                (msg.src, msg.dst, msg.traffic_class))
-        msg.route = route
-        return route
 
     def _stall(self, msg: Message) -> None:
         """No usable route right now: count a timeout and retry later."""
@@ -827,15 +802,8 @@ class Engine:
                 self.failed_bytes += chunk.length
             return
         try:
-            if msg.ordered:
-                route = msg.route
-                if route is None or not self.router.route_usable(route):
-                    route = self.router.repin(
-                        msg.src, msg.dst, msg.traffic_class, self.view)
-                    msg.route = route
-            else:
-                route = self.router.select_route(
-                    msg.src, msg.dst, msg.traffic_class, False, self.view)
+            route = self.router.select_route(
+                msg.src, msg.dst, msg.traffic_class, msg.ordered, self.view)
         except NoRouteError:
             self._retry_later(chunk, self.topo.edge_link_of_endpoint(msg.src))
             return
@@ -949,12 +917,12 @@ class Engine:
             inj = self._injector(src)
             bucket = inj.throttles.get(egress)
             if bucket is None:
-                inj.throttles[egress] = [
-                    fair, float(self.config.chunk_quantum_bytes), self.now]
+                inj.throttles[egress] = TokenBucket(
+                    fair, float(self.config.chunk_quantum_bytes), self.now)
                 port.throttled.add(src)
             else:
-                self._refill(bucket)
-                bucket[0] = fair
+                bucket.refill(self.now)
+                bucket.rate = fair
 
     def _clear_throttles(self, port: Port) -> None:
         egress = port.link_id

@@ -5,7 +5,7 @@ Arbitration is deficit round robin weighted by the class minimum-bandwidth
 fraction, so backlogged classes converge to their configured shares and idle
 minimums are redistributed.  Two refinements sit on top:
 
-* a token bucket per class caps long-run service at ``max_bw_fraction`` of
+* a token bucket per capped class holds service to ``max_bw_fraction`` of
   the port rate with at most one chunk of burst, so no window of length W
   ever carries more than ``max_bw_fraction * rate * W`` plus one quantum;
 * classes holding unspent priority budget are expedited ahead of
@@ -13,6 +13,9 @@ minimums are redistributed.  Two refinements sit on top:
   the class deficit, so priorities reorder service within each class's
   entitled share instead of inflating it, and the per-window budget bounds
   how long a class can ride its priority.
+
+``TokenBucket`` is the simulator's one token bucket; the engine's injector
+throttles use it too.  No bucket asks to be woken at the instant it is read.
 """
 
 from __future__ import annotations
@@ -76,6 +79,38 @@ def validate_profile(configs) -> dict[int, TrafficClassConfig]:
     return by_id
 
 
+class TokenBucket:
+    """Tokens accruing at ``rate * scale`` per second, up to ``burst`` (one
+    chunk).  A throttle's rate is absolute (scale 1.0); a rate cap's rate is
+    its fraction of the port rate, scaled by the port's rate at each call."""
+
+    __slots__ = ("rate", "burst", "tokens", "last")
+
+    def __init__(self, rate: float, burst: float, now: float = 0.0):
+        self.rate = rate
+        self.burst = burst
+        self.tokens = burst
+        self.last = now
+
+    def refill(self, now: float, scale: float = 1.0) -> None:
+        dt = now - self.last
+        if dt > 0:
+            tokens = self.tokens + dt * self.rate * scale
+            self.tokens = tokens if tokens < self.burst else self.burst
+            self.last = now
+
+    def wait(self, now: float, need: float, scale: float = 1.0) -> float | None:
+        """Refill to ``now``; return None when ``need`` tokens are there,
+        else the time they will be.  A shortfall too small to move the clock
+        counts as paid: waking at ``now`` would find the same tokens and
+        wake at ``now`` again, forever."""
+        self.refill(now, scale)
+        if self.tokens >= need:
+            return None
+        wake = now + (need - self.tokens) / (self.rate * scale)
+        return wake if wake > now else None
+
+
 _WEIGHT_FLOOR = 0.02  # zero-minimum classes still get leftover bandwidth
 
 
@@ -84,12 +119,11 @@ class ClassProfile:
     configs, the rotor order, the DRR quanta, the rate caps, the chunk
     quantum, the QoS window and the rotor walk limit.
 
-    ``capped`` lists the classes with a rate cap; ``cap_rate_frac`` maps
-    each class to its cap fraction, or None when it is uncapped.
+    ``capped`` maps each class with a rate cap to its cap fraction.
     """
 
-    __slots__ = ("configs", "order", "quanta", "cap_rate_frac", "capped",
-                 "chunk_quantum", "window", "walk_limit")
+    __slots__ = ("configs", "order", "quanta", "capped", "chunk_quantum",
+                 "window", "walk_limit")
 
     def __init__(self, class_configs, chunk_quantum: int, window: float):
         self.configs = validate_profile(class_configs)
@@ -99,12 +133,8 @@ class ClassProfile:
         wmin = min(weights.values())
         # smallest weight affords one chunk per rotor round
         self.quanta = {c: weights[c] * chunk_quantum / wmin for c in self.order}
-        self.cap_rate_frac = {
-            c: (self.configs[c].max_bw_fraction
-                if self.configs[c].max_bw_fraction < 0.999 else None)
-            for c in self.order}
-        self.capped = tuple(c for c in self.order
-                            if self.cap_rate_frac[c] is not None)
+        self.capped = {c: self.configs[c].max_bw_fraction for c in self.order
+                       if self.configs[c].max_bw_fraction < 0.999}
         self.chunk_quantum = chunk_quantum
         self.window = window
         # rotor steps after which a walk granting quanta gives up
@@ -113,16 +143,18 @@ class ClassProfile:
 
 
 class PortState:
-    """Queues, deficits and rate-cap state for one directed port.
+    """Queues, deficits and rate-cap buckets for one directed port.
 
     ``vc_queues`` maps each class that has queues, in class order, to its
-    queues in VC order: the order arbitration scans heads in.  Everything
-    that is the same for every port lives in the shared ``profile``.
+    queues in VC order: the order arbitration scans heads in.  ``caps`` maps
+    each capped class to its ``TokenBucket``, whose rate is the cap
+    fraction.  Everything that is the same for every port lives in the
+    shared ``profile``.
     """
 
     __slots__ = (
-        "profile", "deficit", "queues", "vc_queues", "queued_bytes",
-        "cap_tokens", "cap_last", "budget", "window_end", "rr",
+        "profile", "deficit", "queues", "vc_queues", "queued_bytes", "caps",
+        "budget", "window_end", "rr",
     )
 
     def __init__(self, profile: ClassProfile):
@@ -132,8 +164,8 @@ class PortState:
         self.queues: dict[tuple[int, int], deque] = {}  # (class, vc) -> chunks
         self.vc_queues: dict[int, list[deque]] = {}
         self.queued_bytes = {c: 0 for c in order}
-        self.cap_tokens = {c: float(profile.chunk_quantum) for c in order}
-        self.cap_last = {c: 0.0 for c in order}
+        self.caps = {c: TokenBucket(frac, float(profile.chunk_quantum))
+                     for c, frac in profile.capped.items()}
         self.budget = {c: 0.0 for c in order}
         self.window_end = profile.window
         self.rr = 0
@@ -183,15 +215,9 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
     if not any(queued.values()):
         return None, None
     profile = state.profile
-    cap_tokens = state.cap_tokens
-    cap_rate_frac = profile.cap_rate_frac
-    for c in profile.capped:  # refill the rate-cap token buckets
-        dt = now - state.cap_last[c]
-        if dt > 0:
-            tokens = cap_tokens[c] + dt * cap_rate_frac[c] * rate
-            full = float(profile.chunk_quantum)
-            cap_tokens[c] = tokens if tokens < full else full
-            state.cap_last[c] = now
+    caps = state.caps
+    for bucket in caps.values():
+        bucket.refill(now, rate)
     if now >= state.window_end:
         state._roll_window(now, rate)
 
@@ -202,13 +228,13 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
     for c, lanes in state.vc_queues.items():
         if not queued[c]:
             continue
-        frac = cap_rate_frac[c]
+        cap = caps.get(c)
         for q in lanes:
             if not q:
                 continue
             head = q[0]
-            if frac is not None and cap_tokens[c] < head.length:
-                t = now + (head.length - cap_tokens[c]) / (frac * rate)
+            t = cap.wait(now, head.length, rate) if cap else None
+            if t is not None:
                 if wake is None or t < wake:
                     wake = t
                 continue
@@ -281,6 +307,6 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
     deficit[pick] = deficit[pick] - length if left else 0.0
     if via_priority:
         state.budget[pick] -= length
-    if cap_rate_frac[pick] is not None:
-        cap_tokens[pick] -= length
+    if pick in caps:
+        caps[pick].tokens -= length
     return chunk, None

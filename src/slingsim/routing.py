@@ -99,7 +99,8 @@ class CongestionView:
 class FlowTable:
     """Pinned routes for ordered traffic, keyed by (src, dst, class).
 
-    An entry lives only while its pending-traffic count is positive.
+    An entry lives only while its pending-traffic count is positive; its
+    route is None while the flow has no usable route.
     """
 
     def __init__(self):
@@ -110,22 +111,22 @@ class FlowTable:
         return ent[0] if ent and ent[1] > 0 else None
 
     def pin(self, key, route: Route) -> None:
-        self._entries[key] = [route, 0]
+        """Pin ``route`` for ``key``, keeping the flow's pending count."""
+        self._entries.setdefault(key, [None, 0])[0] = route
 
     def repin(self, key, decide: Callable[[], Route]) -> Route:
-        """Pin ``decide()`` for ``key`` in place of its current route,
-        keeping the pending count.  The old pin is dropped first, so a
-        ``decide`` that raises leaves the flow unpinned."""
-        ent = self._entries.pop(key, None)
+        """Pin ``decide()`` for ``key`` in place of its current route.  The
+        old pin is dropped first, so a ``decide`` that raises leaves the
+        flow unpinned, with its pending count."""
+        ent = self._entries.get(key)
+        if ent is not None:
+            ent[0] = None
         route = decide()
-        self._entries[key] = [route, ent[1] if ent else 0]
+        self.pin(key, route)
         return route
 
     def add_pending(self, key) -> None:
-        ent = self._entries.get(key)
-        if ent is None:
-            raise RoutingError(f"no pinned route for {key}")
-        ent[1] += 1
+        self._entries.setdefault(key, [None, 0])[1] += 1
 
     def release(self, key) -> None:
         ent = self._entries.get(key)
@@ -384,7 +385,8 @@ class Router:
         """Pick a route for one chunk (unordered) or one flow (ordered).
 
         Ordered traffic reuses the pinned route while the flow has pending
-        traffic; otherwise the decision is made fresh and pinned.  Adaptive
+        traffic and the last sweep finds the route usable; otherwise the
+        decision is made fresh and pinned for the whole flow.  Adaptive
         decisions rank candidates by congestion-weighted cost; minimal-only
         mode considers minimal candidates exclusively.
         """
@@ -392,7 +394,10 @@ class Router:
         if ordered:
             pinned = self.flow_table.pinned(key)
             if pinned is not None:
-                return pinned
+                if self.route_usable(pinned):
+                    return pinned
+                return self.repin(src_endpoint, dst_endpoint, traffic_class,
+                                  view)
         view = view or CongestionView()
         route = self._decide(src_endpoint, dst_endpoint, view)
         if ordered:
@@ -401,7 +406,8 @@ class Router:
 
     def repin(self, src_endpoint: int, dst_endpoint: int, traffic_class: int,
               view: CongestionView | None = None) -> Route:
-        """Drop a stale pin (e.g. its route lost a link) and decide afresh."""
+        """Drop a stale pin (e.g. its route lost a link) and decide afresh,
+        keeping the flow's pending count."""
         return self.flow_table.repin(
             (src_endpoint, dst_endpoint, traffic_class),
             lambda: self._decide(src_endpoint, dst_endpoint,

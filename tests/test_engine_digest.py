@@ -78,14 +78,28 @@ def _out_of_time(signum, frame):
     raise TimeoutError(f"Engine.run took over {RUN_BUDGET_S} s of host time")
 
 
-def run(workload, cc: bool, mode: str = "adaptive", flaps=()):
+def make_engine(cc: bool = True, mode: str = "adaptive", down=None,
+                **config) -> Engine:
+    """An engine on the bench fabric; ``config`` overrides ``SimConfig``
+    fields, and the links ``down(topo)`` are down before the router's first
+    sweep."""
     topo = build_topology(bench_spec())
     overlay = StateOverlay(topo)
+    for link in down(topo) if down else ():
+        overlay.set_link_state(link, status="down")
     router = Router(topo, overlay, RoutingPolicy(mode=mode), seed=1)
-    engine = Engine(topo, overlay, router, default_profile(),
-                    SimConfig(seed=1, cc_enabled=cc))
+    return Engine(topo, overlay, router, default_profile(),
+                  SimConfig(**{"seed": 1, "cc_enabled": cc, **config}))
+
+
+def run(workload, cc: bool = True, mode: str = "adaptive", flaps=(),
+        down=None, **config):
+    """Load ``workload`` into ``make_engine(cc, mode, down, **config)``,
+    inject ``flaps`` and run it within the host-time budget.  Bytes must
+    balance and every credit pool must drain."""
+    engine = make_engine(cc, mode, down, **config)
     for pick, t_down, duration in flaps:
-        engine.inject_fault(pick(topo), t_down, duration)
+        engine.inject_fault(pick(engine.topo), t_down, duration)
     engine.load(*workload)
     previous = signal.signal(signal.SIGALRM, _out_of_time)
     signal.setitimer(signal.ITIMER_REAL, RUN_BUDGET_S)

@@ -1,0 +1,136 @@
+"""Engine paths no golden run reaches: flows without any route, the
+release of congestion throttles, ordered flows losing their pinned link,
+phase barriers and schedules the engine must reject.
+
+Every run goes through ``test_engine_digest.run``, so it shares its host-time
+budget and its byte-balance and credit-drain checks.
+"""
+
+import pytest
+
+from slingsim.engine import Engine, SimConfig, SimConfigError
+from slingsim.routing import Router
+from slingsim.topology import GLOBAL, port_key
+
+from test_engine_digest import KIB, Phase, Placement, Schedule, \
+    incast_with_background, make_engine, run
+
+MIB = 1024 * KIB
+
+
+def globals_of_group_0(topo):
+    return [lid for (ga, gb), lids in topo.global_links.items()
+            if 0 in (ga, gb) for lid in lids]
+
+
+def test_no_route_fails_after_max_retries():
+    """Group 0 is cut off before the router's first sweep: each message
+    stalls ``max_retries + 1`` times, one timeout each, then fails.  Two
+    of the messages share one ordered flow, whose pending count must still
+    drain the flow table."""
+    msgs = ((0, 2, 64 * KIB, True), (0, 2, 64 * KIB, True),
+            (1, 3, 64 * KIB, False))
+    engine, report = run((Placement(4, (0, 1, 16, 32)), Schedule((Phase(msgs),))),
+                         down=globals_of_group_0)
+    assert all(m.failed for m in report.messages)
+    assert report.timeout_count == 3 * (SimConfig().max_retries + 1) == 27
+    assert report.injected_bytes == report.failed_bytes == 0
+    assert len(engine.router.flow_table) == 0
+
+
+def test_congestion_release(monkeypatch):
+    """A 16 KiB incast on two hot endpoints plus one 4 MiB background pair
+    that keeps the run going after the incast drains: both hot delivery
+    links are detected, then released at 32 us, and every message
+    completes."""
+    placement, schedule = incast_with_background(128, 16 * KIB, 1)
+    msgs = schedule.phases[0].messages
+    incast = tuple(m for m in msgs if m[3])
+    src, dst, _, _ = next(m for m in msgs if not m[3])
+    workload = (placement,
+                Schedule((Phase(incast + ((src, dst, 4 * MIB, False),)),)))
+
+    released = []
+    clear = Engine._clear_throttles
+
+    def recorded(self, port):
+        released.append((self.now, port.link_id, frozenset(port.throttled)))
+        return clear(self, port)
+
+    monkeypatch.setattr(Engine, "_clear_throttles", recorded)
+    engine, report = run(workload, cc=True)
+    hot = {engine.topo.edge_link_of_endpoint(d) for _, d, _, _ in incast}
+    assert {link for _, link, _ in released} == hot
+    for t, _, throttled in released:
+        assert t == pytest.approx(32e-6) and throttled
+    assert not any(link in inj.throttles
+                   for inj in engine.injectors.values() for link in hot)
+    assert report.incomplete_messages == 0 and report.failed_bytes == 0
+
+
+def test_ordered_flow_keeps_one_route(monkeypatch):
+    """Four ordered messages share one flow whose pinned global link fails.
+    After the next sweep the flow re-pins once, and every later chunk of
+    every message takes that one new route."""
+    src, dst = 0, 17
+    probe = make_engine()
+    pinned = probe.router.select_route(src, dst, 2, True)
+    (link,) = [port_key(p)[0] for p in pinned.ports
+               if probe.topo.links[port_key(p)[0]].kind == GLOBAL]
+
+    repins, routes = [], []
+    repin, select = Router.repin, Router.select_route
+
+    def counted(self, *args):
+        repins.append(self.tables.generation)
+        return repin(self, *args)
+
+    def recorded(self, *args):
+        route = select(self, *args)
+        routes.append(route)
+        return route
+
+    monkeypatch.setattr(Router, "repin", counted)
+    monkeypatch.setattr(Router, "select_route", recorded)
+    msgs = tuple((0, 1, 256 * KIB, True) for _ in range(4))
+    engine, report = run(
+        (Placement(2, (src, dst)), Schedule((Phase(msgs),))), cc=False,
+        flaps=[(lambda topo: link, 10e-6, 100e-6)], sweep_interval_s=20e-6)
+    assert routes[0] == pinned
+    assert len(repins) == 1
+    after = routes[routes.index(routes[-1]):]
+    assert set(after) == {routes[-1]} and routes[-1] != pinned
+    assert set(routes) == {pinned, routes[-1]}
+    assert report.incomplete_messages == 0 and report.timeout_count > 0
+    assert len(engine.router.flow_table) == 0
+
+
+def two_phases(first, second, barrier):
+    return Schedule((Phase(first), Phase(second)), barrier=barrier)
+
+
+@pytest.mark.parametrize("schedule", [
+    # ranks 2 and 3 take no part in phase 0
+    two_phases(((0, 1, 4 * KIB, False),), ((2, 3, 4 * KIB, False),), "rank"),
+    # nothing to wait for in the leading phase
+    two_phases((), ((0, 1, 4 * KIB, False),), "global"),
+], ids=["rank_absent_from_phase_0", "empty_leading_phase"])
+def test_barrier_passes_phases_without_work(schedule):
+    _, report = run((Placement(4, (0, 17, 34, 51)), schedule),
+                    duration_s=1e-3)
+    assert report.incomplete_messages == 0
+    assert not any(m.failed for m in report.messages)
+
+
+@pytest.mark.parametrize("placement, schedule", [
+    (Placement(2, (0, 1)),
+     Schedule((Phase(((0, 1, 4 * KIB, False),)),), barrier="Global")),
+    (Placement(2, (0, 1)),
+     Schedule((Phase(((0, 1, 4 * KIB, False),)),), window=-1)),
+    (Placement(2, (0, 128)), Schedule((Phase(((0, 1, 4 * KIB, False),)),))),
+    (Placement(2, (0,)), Schedule((Phase(((0, 1, 4 * KIB, False),)),))),
+], ids=["unknown_barrier", "negative_window", "endpoint_past_fabric",
+        "rank_without_endpoint"])
+def test_bad_schedule_is_rejected(placement, schedule):
+    with pytest.raises(SimConfigError):
+        make_engine().load(placement, schedule)

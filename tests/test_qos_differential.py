@@ -56,8 +56,22 @@ def credit_gate(refusals: int, calls: list):
 
 
 def class_state(state) -> tuple:
-    return (state.deficit, state.budget, state.cap_tokens, state.rr,
-            state.queued_bytes, state.cap_last, state.window_end)
+    """Deficits, budgets, rotor, backlog, window and the rate-cap tokens
+    and refill times of the capped classes.  The live state keeps a bucket
+    per capped class only; the reference keeps a cap entry for every class,
+    and those of uncapped classes must never move."""
+    if isinstance(state, ref.PortState):
+        caps = {}
+        for c in state.order:
+            if state.cap_rate_frac[c] is None:
+                assert (state.cap_tokens[c], state.cap_last[c]) == \
+                    (QUANTUM, 0.0)
+            else:
+                caps[c] = (state.cap_tokens[c], state.cap_last[c])
+    else:
+        caps = {c: (b.tokens, b.last) for c, b in state.caps.items()}
+    return (state.deficit, state.budget, caps, state.rr, state.queued_bytes,
+            state.window_end)
 
 
 @settings(max_examples=200, deadline=None)

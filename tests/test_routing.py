@@ -365,7 +365,13 @@ def test_failed_repin_leaves_flow_unpinned(small_topo):
 
     with pytest.raises(NoRouteError):
         table.repin(key, no_route)
-    assert table.pinned(key) is None and len(table) == 0
+    assert table.pinned(key) is None and len(table) == 1
+    # the pending count survives: a later re-pin serves the flow until its
+    # one pending message is released
+    route = table.repin(key, lambda: Route((1,)))
+    assert table.pinned(key) is route
+    table.release(key)
+    assert len(table) == 0
 
 
 def test_argmin_scale_invariance(small_topo):
