@@ -7,6 +7,10 @@ UGAL style: cost ranks by ``weight x (hops+1) x max queue occupancy`` along
 the route, where non-minimal candidates carry a configurable bias weight.
 Ties rank by the occupancy-free weight and then by candidate index, so the
 choice is deterministic and invariant under uniform scaling of occupancies.
+Every detour crosses two global links, so its (cost, weight) is at least
+(0, 3 x bias).  Once a candidate reaches that floor, as an idle minimal
+route of weight at most 3 x bias does, the remaining detours are neither
+enumerated nor scored, and the choice is the same as scoring them all.
 
 A route is the tuple of directed port ids (``topology.port_id``) it
 travels, and the congestion view is keyed by the same ids, so the engine
@@ -70,8 +74,13 @@ _ZEROS = repeat(0.0)  # default occupancy of every port absent from a view
 
 
 class CongestionView:
-    """Read-only snapshot of directed queue occupancies (non-negative bytes,
-    keyed by port id) and group loads."""
+    """Read-only snapshot of directed queue occupancies (bytes, keyed by
+    port id) and group loads.
+
+    Raises:
+        RoutingError: an occupancy or a group load is negative; route
+            selection's detour floor relies on every cost being >= 0.
+    """
 
     __slots__ = ("time", "_occ", "_group_load")
 
@@ -81,6 +90,9 @@ class CongestionView:
         self.time = time
         self._occ = occ or {}
         self._group_load = group_load or {}
+        if min(self._occ.values(), default=0.0) < 0 \
+                or min(self._group_load.values(), default=0.0) < 0:
+            raise RoutingError("congestion view entries must be non-negative")
 
     def group_load(self, group: int) -> float:
         return self._group_load.get(group, 0.0)
@@ -358,7 +370,8 @@ class Router:
         # keyed by id(route set); holding ``tables`` keeps the sets, and so
         # their ids, alive.  The memo is exact for that view: a view never
         # changes, and a set is always scored with the same weight.  It keeps
-        # the route alone, not its score, to stay small on cold tables.
+        # the route alone, not its score, to stay small; detour sets the
+        # floor in ``_argmin`` skips are neither enumerated nor memoised.
         self._memo: dict[int, Route] = {}
         self._memo_for: tuple = (None, None)  # (view, tables)
 
@@ -428,54 +441,62 @@ class Router:
                 raise
             minimal = ()
 
-        if self.policy.mode == "minimal":
-            return self._argmin((minimal,), (), view)
-
-        ga = self.topo.group_of_switch(src_sw)
-        gb = self.topo.group_of_switch(dst_sw)
-        sampled = self._sample_intermediates(ga, gb)
-        if self.policy.group_load_enabled and sampled:
-            best = min(sampled, key=lambda g: (view.group_load(g), g))
-            sampled = [best]
-        nonminimal: list[tuple[Route, ...]] = []
-        for g in sampled:
-            try:
-                nonminimal.append(self.tables.nonminimal_routes(src_sw, dst_sw, g))
-            except NoRouteError:
-                continue
-        if not minimal and not nonminimal:
+        sampled = ()
+        if self.policy.mode == "adaptive":
+            ga = self.topo.group_of_switch(src_sw)
+            gb = self.topo.group_of_switch(dst_sw)
+            sampled = self._sample_intermediates(ga, gb)
+            if self.policy.group_load_enabled and sampled:
+                sampled = [min(sampled, key=lambda g: (view.group_load(g), g))]
+        route = self._argmin(minimal, src_sw, dst_sw, sampled, view)
+        if route is None:
             raise NoRouteError(
                 f"no usable route between endpoints {src_endpoint} and {dst_endpoint}")
-        return self._argmin((minimal,), nonminimal, view)
+        return route
 
-    def _argmin(self, minimal, nonminimal, view: CongestionView) -> Route:
+    def _argmin(self, minimal: tuple[Route, ...], src_sw: int, dst_sw: int,
+                groups, view: CongestionView) -> Route | None:
         """Lexicographic minimum of (cost, weight, candidate index) over the
-        route sets in ``minimal`` (weight 1) and then ``nonminimal`` (weight
-        ``nonminimal_bias``).  Candidate indices grow along the concatenated
-        sets, so the minimum is the best of the sets' own bests, the earliest
-        set winning a tie."""
-        memo = self._memo
+        routes of ``minimal`` (weight 1) and then the detours through each
+        of ``groups`` in turn (weight ``nonminimal_bias``), or None when
+        there is no candidate.  Candidate indices grow along the
+        concatenated sets, so the minimum is the best of the sets' own
+        bests, the earliest set winning a tie.
+
+        Floor: a detour crosses two global links, so its (cost, weight) is
+        at least (0, 3 x bias).  Once the best so far is at or below that
+        floor, no later detour can beat it (at best it ties, and ties go to
+        the earlier candidate), so the remaining groups' detours are neither
+        fetched nor scored.  An unreachable group is skipped."""
         if self._memo_for[0] is not view or self._memo_for[1] is not self.tables:
-            memo.clear()
+            self._memo.clear()
             self._memo_for = (view, self.tables)
-        best = None
-        for route_sets, weight in ((minimal, 1.0),
-                                   (nonminimal, self.policy.nonminimal_bias)):
-            for routes in route_sets:
-                route = memo.get(id(routes))
-                if route is None:
-                    if not routes:
-                        continue
-                    hit = _best(routes, weight, view)
-                    memo[id(routes)] = hit[2]
-                else:
-                    w = weight * (len(route.ports) + 1)
-                    hit = w * view.route_max_occupancy(route), w, route
-                if best is None or hit[:2] < best[:2]:
-                    best = hit
-        if best is None:
-            raise NoRouteError("no candidate routes")
-        return best[2]
+        best = self._best_of(minimal, 1.0, view) if minimal else None
+        bias = self.policy.nonminimal_bias
+        floor = (0.0, 3 * bias)
+        detours = self.tables.nonminimal_routes
+        for g in groups:
+            if best is not None and best[:2] <= floor:
+                break
+            try:
+                routes = detours(src_sw, dst_sw, g)
+            except NoRouteError:
+                continue
+            hit = self._best_of(routes, bias, view)
+            if best is None or hit[:2] < best[:2]:
+                best = hit
+        return None if best is None else best[2]
+
+    def _best_of(self, routes: tuple[Route, ...], weight: float,
+                 view: CongestionView):
+        """``_best(routes, weight, view)``, through the memo."""
+        route = self._memo.get(id(routes))
+        if route is None:
+            hit = _best(routes, weight, view)
+            self._memo[id(routes)] = hit[2]
+            return hit
+        w = weight * (len(route.ports) + 1)
+        return w * view.route_max_occupancy(route), w, route
 
 
 def _best(routes: tuple[Route, ...], weight: float, view: CongestionView):

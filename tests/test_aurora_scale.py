@@ -1,0 +1,54 @@
+"""A sparse permutation on the full Aurora fabric.
+
+Every chunk of a 16 KiB message is routed before the first congestion tick
+(2 us), so every decision sees the idle view.  There the minimal route
+reaches the detour floor, so route selection must never enumerate a detour
+set: 256 ranks draw thousands of them without the floor.
+"""
+
+import random
+
+from slingsim import routing
+from slingsim.engine import Engine, SimConfig
+from slingsim.qos import default_profile
+from slingsim.routing import Router, RoutingPolicy
+from slingsim.topology import StateOverlay, aurora_spec, build_topology
+
+from test_engine_digest import KIB, Phase, Placement, Schedule, derangement, \
+    run_loaded
+
+RANKS = 256
+
+
+def sparse_permutation(spec, ranks: int, size: int, seed: int):
+    """Ranks on a seeded sample of the compute endpoints (compute groups
+    come first), each sending ``size`` bytes along a seeded derangement."""
+    rng = random.Random(seed)
+    compute = (spec.compute_groups * spec.switches_per_group
+               * spec.endpoints_per_switch)
+    endpoints = rng.sample(range(compute), ranks)
+    perm = derangement(ranks, rng)
+    msgs = tuple((r, perm[r], size, False) for r in range(ranks))
+    return Placement(ranks, tuple(endpoints)), Schedule((Phase(msgs),))
+
+
+def test_idle_sparse_permutation_enumerates_no_detour(monkeypatch):
+    enumerated = 0
+    real = routing.enumerate_nonminimal_routes
+
+    def counted(*args):
+        nonlocal enumerated
+        enumerated += 1
+        return real(*args)
+
+    monkeypatch.setattr(routing, "enumerate_nonminimal_routes", counted)
+    spec = aurora_spec()
+    topo = build_topology(spec)
+    overlay = StateOverlay(topo)
+    router = Router(topo, overlay, RoutingPolicy(), seed=1)
+    engine = Engine(topo, overlay, router, default_profile(),
+                    SimConfig(seed=1, cc_enabled=False))
+    report = run_loaded(engine, sparse_permutation(spec, RANKS, 16 * KIB, 1))
+    assert report.incomplete_messages == 0 and report.failed_bytes == 0
+    assert report.delivered_bytes == RANKS * 16 * KIB
+    assert enumerated == 0

@@ -8,15 +8,21 @@ finish within a host-time budget, so a run that stops making progress fails
 instead of hanging the suite.
 """
 
+import os
 import random
 import signal
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import slingsim
 from slingsim.engine import Engine, SimConfig
 from slingsim.qos import BEST_EFFORT, default_profile
+from slingsim.report import summarize
 from slingsim.routing import Router, RoutingPolicy
 from slingsim.topology import StateOverlay, build_topology
 
@@ -94,12 +100,17 @@ def make_engine(cc: bool = True, mode: str = "adaptive", down=None,
 
 def run(workload, cc: bool = True, mode: str = "adaptive", flaps=(),
         down=None, **config):
-    """Load ``workload`` into ``make_engine(cc, mode, down, **config)``,
-    inject ``flaps`` and run it within the host-time budget.  Bytes must
-    balance and every credit pool must drain."""
+    """Inject ``flaps`` into ``make_engine(cc, mode, down, **config)`` and
+    run ``workload`` there through ``run_loaded``."""
     engine = make_engine(cc, mode, down, **config)
     for pick, t_down, duration in flaps:
         engine.inject_fault(pick(engine.topo), t_down, duration)
+    return engine, run_loaded(engine, workload)
+
+
+def run_loaded(engine: Engine, workload):
+    """Load ``workload`` into ``engine`` and run it within the host-time
+    budget; bytes must balance and every credit pool must drain."""
     engine.load(*workload)
     previous = signal.signal(signal.SIGALRM, _out_of_time)
     signal.setitimer(signal.ITIMER_REAL, RUN_BUDGET_S)
@@ -111,7 +122,7 @@ def run(workload, cc: bool = True, mode: str = "adaptive", flaps=(),
     assert report.injected_bytes == report.delivered_bytes + report.failed_bytes
     for key, port in engine.ports.items():
         assert not any(port.committed) and port.occ == 0, key
-    return engine, report
+    return report
 
 
 def first_global(topo):
@@ -130,6 +141,7 @@ def test_permutation_64k(cc):
     _, report = run(permutation(128, 64 * KIB, 1), cc)
     assert report.digest == PERM_64K
     assert report.timeout_count == 0 and report.incomplete_messages == 0
+    assert summarize(report).startswith("Network Summary: 0 network timeouts. ")
 
 
 def test_incast_with_background_cc():
@@ -148,6 +160,23 @@ def test_permutation_with_flaps():
         "3eb78189b83c622c148b705d315ea7ef21bdad37d098d8a868ecb7f825813d55"
     assert 12 <= report.timeout_count <= 21
     assert report.incomplete_messages == 0 and report.failed_bytes == 0
+    assert summarize(report).startswith(
+        f"Network Summary: {report.timeout_count} network timeouts. ")
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "123"])
+def test_digest_ignores_hash_seed(hash_seed):
+    """Each run in its own interpreter, so set and dict orders of hashed
+    objects differ between them."""
+    path = os.pathsep.join([str(Path(slingsim.__file__).parents[1]),
+                            str(Path(__file__).parent)])
+    script = ("from test_engine_digest import KIB, permutation, run\n"
+              "print(run(permutation(128, 64 * KIB, 1), cc=False)[1].digest)")
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, timeout=RUN_BUDGET_S,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path})
+    assert out.stdout.split()[-1] == PERM_64K
 
 
 def test_permutation_minimal_routing():

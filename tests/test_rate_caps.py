@@ -10,10 +10,12 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qos_reference as ref
-from slingsim.qos import ETHERNET, ClassProfile, PortState, arbitrate, \
-    default_profile
+from slingsim.qos import BEST_EFFORT, ETHERNET, ClassProfile, PortState, \
+    arbitrate, default_profile
 
 from test_engine_digest import KIB, Phase, Placement, Schedule, permutation, \
     run
@@ -79,3 +81,40 @@ def test_single_ethernet_message_runs_at_its_cap():
     makespan = msg.completion_time - msg.issue_time
     bound = (size - QUANTUM) / (CAP * RATE)
     assert bound <= makespan <= 1.1 * bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(lengths=st.lists(st.one_of(st.just(QUANTUM), st.integers(1, QUANTUM)),
+                        min_size=1, max_size=80),
+       best_effort=st.booleans(),
+       t0=st.one_of(st.just(0.0), st.floats(0.0, 1e-3)),
+       rate=st.sampled_from((RATE, RATE / 2, RATE / 4)))
+def test_capped_class_never_exceeds_its_window_bound(lengths, best_effort,
+                                                     t0, rate):
+    """The ``qos`` module's cap bound: with the Ethernet class backlogged,
+    alone or beside backlogged best-effort traffic, the Ethernet bytes whose
+    service starts in any closed window of length W never exceed
+    ``0.30 * rate * W`` plus one chunk quantum."""
+    state = PortState(ClassProfile(default_profile(), QUANTUM, WINDOW))
+    for i, length in enumerate(lengths):
+        state.enqueue(Chunk(i, length), ETHERNET, 0)
+    for _ in range(2 if best_effort else 0):
+        state.enqueue(Chunk(-1, QUANTUM), BEST_EFFORT, 0)
+    starts = []  # (service start, bytes) of each Ethernet chunk
+    now = t0
+    while state.queued_bytes[ETHERNET]:
+        chunk, wake = arbitrate(state, now, rate)
+        if chunk is None:
+            assert wake is not None and wake > now
+            now = wake
+            continue
+        if chunk.id >= 0:
+            starts.append((now, chunk.length))
+        else:  # keep best effort backlogged: its queue never empties
+            state.enqueue(Chunk(-1, QUANTUM), BEST_EFFORT, 0)
+        now += chunk.length / rate
+    for window in (1e-6, 5e-6, 20e-6):
+        bound = CAP * rate * window + QUANTUM
+        for t, _ in starts:
+            served = sum(n for s, n in starts if t <= s <= t + window)
+            assert served <= bound, (window, t, served - bound)

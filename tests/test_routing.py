@@ -404,6 +404,95 @@ def test_argmin_scale_invariance(small_topo):
     assert steered > 0
 
 
+def exhaustive_pick(topo, tables, occ, src, dst, bias):
+    """The lexicographic (cost, weight, index) minimum over the minimal
+    routes between switches ``src`` and ``dst`` followed by every detour
+    set in group order, each enumerated and scored here."""
+    ga, gb = topo.group_of_switch(src), topo.group_of_switch(dst)
+    candidates = []
+    try:
+        candidates += [(r, 1.0) for r in
+                       enumerate_minimal_routes(topo, tables, src, dst)]
+    except NoRouteError:
+        pass
+    for g in range(len(topo.group_kinds)):
+        if g in (ga, gb):
+            continue
+        try:
+            candidates += [(r, bias) for r in enumerate_nonminimal_routes(
+                topo, tables, src, dst, g)]
+        except NoRouteError:
+            pass
+
+    def rank(i):
+        route, weight = candidates[i]
+        w = weight * (len(route.ports) + 1)
+        return w * max((occ.get(p, 0.0) for p in route.ports),
+                       default=0.0), w, i
+
+    return candidates[min(range(len(candidates)), key=rank)][0]
+
+
+@pytest.mark.parametrize("bias", [0.25, 0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("fabric", ["small_topo", "bench_topo"])
+def test_select_route_is_exhaustive_minimum(fabric, bias, request):
+    """Sampling every intermediate group (no RNG draw), the pick equals the
+    exhaustive minimum on views where most ports are idle.  Two global
+    links are in maintenance, so on the small fabric some pairs have no
+    minimal route."""
+    topo = request.getfixturevalue(fabric)
+    rng = random.Random(len(fabric) * 100 + int(bias * 4))
+    ov = StateOverlay(topo)
+    for lid in rng.sample([l.id for l in topo.links if l.kind == "global"], 2):
+        ov.set_link_state(lid, status="maintenance")
+    router = Router(topo, ov, RoutingPolicy(
+        nonminimal_bias=bias, intermediate_samples=len(topo.group_kinds)))
+    ports = [port_id(l, d) for l in topo.fabric_link_ids() for d in (0, 1)]
+    detours = 0
+    for _ in range(300):
+        src = rng.randrange(topo.total_endpoints)
+        dst = rng.randrange(topo.total_endpoints)
+        src_sw, dst_sw = topo.switch_of_endpoint(src), topo.switch_of_endpoint(dst)
+        busy = rng.choice((0.0, 0.05, 0.3))
+        occ = {p: float(rng.choice((4096, 8192, 65536)))
+               for p in ports if rng.random() < busy}
+        state = router.rng.getstate()
+        pick = router.select_route(src, dst, 0, False,
+                                   view=CongestionView(0.0, occ))
+        assert router.rng.getstate() == state
+        assert pick == exhaustive_pick(topo, router.tables, occ, src_sw,
+                                       dst_sw, bias)
+        detours += pick.intermediate_group is not None
+    assert detours > 0
+
+
+def test_idle_fabric_can_prefer_a_detour(small_topo):
+    """At bias 0.5 a detour weighs at most 0.5 x 6 = 3 and a three-hop
+    minimal route weighs 4, so on an idle fabric the minimum is a detour: a
+    floor that stopped at any idle minimal route would pick wrong."""
+    router = Router(small_topo, StateOverlay(small_topo), RoutingPolicy(
+        nonminimal_bias=0.5, intermediate_samples=4))
+    src, dst = next(
+        (s, d) for s in small_topo.switches_of_group(0)
+        for d in small_topo.switches_of_group(1)
+        if all(len(r.ports) == 3 for r in router.tables.minimal_routes(s, d)))
+    pick = router.select_route(ep_on_switch(small_topo, src),
+                               ep_on_switch(small_topo, dst), 0, False)
+    assert pick.intermediate_group is not None
+    assert pick == exhaustive_pick(small_topo, router.tables, {}, src, dst, 0.5)
+
+
+def test_view_rejects_negative_entries():
+    with pytest.raises(RoutingError):
+        CongestionView(0.0, {3: -1.0})
+    with pytest.raises(RoutingError):
+        CongestionView(0.0, {}, {1: -0.5})
+    view = CongestionView(0.0, {3: 4096.0, 5: 0.0}, {1: 4096.0})
+    with pytest.raises(RoutingError):
+        view.scaled(-1.0)
+    assert view.scaled(0.0).route_max_occupancy(Route((3, 5))) == 0.0
+
+
 def test_select_deterministic_tiebreak(small_topo):
     r1 = Router(small_topo, StateOverlay(small_topo), RoutingPolicy(), seed=7)
     r2 = Router(small_topo, StateOverlay(small_topo), RoutingPolicy(), seed=7)
