@@ -81,10 +81,19 @@ class SimConfig:
             raise SimConfigError("chunk_quantum_bytes must be > 0")
         if self.max_retries < 1:
             raise SimConfigError("max_retries must be >= 1")
+        # a zero interval re-fires its event at the same instant forever
         for name in ("cc_tau_us", "retry_timeout_us", "qos_window_us",
-                     "tick_interval_us", "series_interval_us"):
-            if getattr(self, name) <= 0:
+                     "tick_interval_us", "series_interval_us",
+                     "sweep_interval_s"):
+            if not getattr(self, name) > 0:
                 raise SimConfigError(f"{name} must be > 0")
+        if self.buffer_bytes < 0:
+            raise SimConfigError("buffer_bytes must be >= 0")
+        if self.buffer() < self.chunk_quantum_bytes:
+            # no pool could ever take a full chunk
+            raise SimConfigError(
+                f"buffer of {self.buffer()} B is smaller than a chunk "
+                f"({self.chunk_quantum_bytes} B)")
 
 
 @dataclass(eq=False, slots=True)
@@ -264,9 +273,12 @@ class Engine:
         (drawn uniformly from 3..5 s when omitted)."""
         if not 0 <= link < len(self.topo.links):
             raise SimConfigError(f"unknown link {link}")
+        if not 0 <= t_down < float("inf"):
+            raise SimConfigError(
+                f"fault time must be finite and >= 0, got {t_down}")
         if duration is None:
             duration = self.rng.uniform(3.0, 5.0)
-        if duration <= 0:
+        if not duration > 0:
             raise SimConfigError("fault duration must be > 0")
         self._faults.append((t_down, link, duration))
 
@@ -392,7 +404,8 @@ class Engine:
                 on_arrive(payload)
             elif kind == K_WAKEPORT:
                 payload.wake_at = inf
-                self._kick_port(payload)
+                if payload.busy is None:
+                    self._kick_port(payload)
             elif kind == K_WAKEINJ:
                 payload.wake_at = inf
                 self._run_injector(payload)
@@ -518,10 +531,14 @@ class Engine:
                        length: int) -> float | None:
         """None when ``inj``'s throttle toward ``msg.dst``, if any, lets
         ``length`` bytes go now, else the time it will."""
+        if not inj.throttles:
+            return None
         bucket = inj.throttles.get(self.topo.edge_link_of_endpoint(msg.dst))
         return None if bucket is None else bucket.wait(self.now, length)
 
     def _charge_throttle(self, inj: Injector, msg: Message, length: int) -> None:
+        if not inj.throttles:
+            return
         bucket = inj.throttles.get(self.topo.edge_link_of_endpoint(msg.dst))
         if bucket is not None:
             bucket.tokens -= length
@@ -568,7 +585,8 @@ class Engine:
             out.occ += chunk.length
             self.active_ports[out.id] = out
             out.state.enqueue(chunk, chunk.msg.traffic_class, 0)
-            self._kick_port(out)
+            if out.busy is None:
+                self._kick_port(out)
 
         if wake is not None and wake < inj.wake_at:
             inj.wake_at = wake
@@ -677,11 +695,12 @@ class Engine:
     def _start_tx(self, port: Port, chunk: Chunk, rate: float) -> None:
         nxt = chunk.hop + 1
         if nxt < len(chunk.path):
-            q = self._port(chunk.path[nxt])
+            q = self.ports[chunk.path[nxt]]  # made by _can_send
             q.committed[nxt] += chunk.length
             q.occ += chunk.length
             self.active_ports[q.id] = q
-        chunk.tx_gen = self.link_gen.get(port.link_id, 0)
+        if self.link_gen:  # else no link has flapped: every generation is 0
+            chunk.tx_gen = self.link_gen.get(port.link_id, 0)
         port.busy = chunk
         heapq.heappush(self._heap, (self.now + chunk.length / rate,
                                     next(self._seq), K_TX, port))
@@ -700,7 +719,8 @@ class Engine:
 
         if port.rate_gen != self.overlay.generation:
             self._refresh_rate(port)
-        if self.link_gen.get(link_id, 0) != chunk.tx_gen or not port.rate:
+        if not port.rate or self.link_gen \
+                and self.link_gen.get(link_id, 0) != chunk.tx_gen:
             self._lose_chunk(chunk, chunk.hop + 1, link_id)
         else:
             heapq.heappush(self._heap, (self.now + port.delay,
@@ -722,17 +742,16 @@ class Engine:
 
     def _on_arrive(self, chunk: Chunk) -> None:
         path = chunk.path
-        link_id = self.ports[path[chunk.hop]].link_id
-        if self.link_gen.get(link_id, 0) != chunk.tx_gen:
-            self._lose_chunk(chunk, chunk.hop + 1, link_id)
-            return
+        if self.link_gen:
+            link_id = self.ports[path[chunk.hop]].link_id
+            if self.link_gen.get(link_id, 0) != chunk.tx_gen:
+                self._lose_chunk(chunk, chunk.hop + 1, link_id)
+                return
         hop = chunk.hop = chunk.hop + 1
         if hop >= len(path):
             self._deliver(chunk)
             return
-        port = self.ports.get(path[hop])
-        if port is None:
-            port = self._new_port(path[hop])
+        port = self.ports[path[hop]]  # made by _can_send before the hop
         if port.rate_gen != self.overlay.generation:
             self._refresh_rate(port)
         if not port.rate:
@@ -743,7 +762,8 @@ class Engine:
         self.active_ports[port.id] = port
         if port.is_edge_in:
             port.contributors[chunk.msg.src] = self.now
-        self._kick_port(port)
+        if port.busy is None:
+            self._kick_port(port)
 
     def _deliver(self, chunk: Chunk) -> None:
         msg = chunk.msg

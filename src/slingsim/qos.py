@@ -146,15 +146,16 @@ class PortState:
     """Queues, deficits and rate-cap buckets for one directed port.
 
     ``vc_queues`` maps each class that has queues, in class order, to its
-    queues in VC order: the order arbitration scans heads in.  ``caps`` maps
-    each capped class to its ``TokenBucket``, whose rate is the cap
-    fraction.  Everything that is the same for every port lives in the
-    shared ``profile``.
+    queues in VC order: the order arbitration scans heads in.  ``solo`` is
+    the class when it is the only one that has ever queued here and has no
+    rate cap, else None.  ``caps`` maps each capped class to its
+    ``TokenBucket``, whose rate is the cap fraction.  Everything that is the
+    same for every port lives in the shared ``profile``.
     """
 
     __slots__ = (
-        "profile", "deficit", "queues", "vc_queues", "queued_bytes", "caps",
-        "budget", "window_end", "rr",
+        "profile", "deficit", "queues", "vc_queues", "solo", "queued_bytes",
+        "caps", "budget", "window_end", "rr",
     )
 
     def __init__(self, profile: ClassProfile):
@@ -163,6 +164,7 @@ class PortState:
         self.deficit = {c: 0.0 for c in order}
         self.queues: dict[tuple[int, int], deque] = {}  # (class, vc) -> chunks
         self.vc_queues: dict[int, list[deque]] = {}
+        self.solo: int | None = None
         self.queued_bytes = {c: 0 for c in order}
         self.caps = {c: TokenBucket(frac, float(profile.chunk_quantum))
                      for c, frac in profile.capped.items()}
@@ -181,6 +183,8 @@ class PortState:
             self.vc_queues = {}
             for c, v in sorted(self.queues):
                 self.vc_queues.setdefault(c, []).append(self.queues[(c, v)])
+            self.solo = traffic_class if len(self.vc_queues) == 1 \
+                and traffic_class not in profile.capped else None
         if self.queued_bytes[traffic_class] == 0:
             # joining the rotor: grant one quantum so fresh low-latency
             # traffic is entitled immediately
@@ -210,9 +214,17 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
     pick, or ``(None, wake_time)`` where ``wake_time`` is the earliest
     instant a rate-capped class becomes eligible again (None when arbitration
     is blocked purely on credits or empty queues).
+
+    A port whose only class is uncapped (``state.solo``) has one candidate at
+    most, so an entitled head is served at once with the updates the full
+    path would make; a head short of deficit joins the shared rotor walk.
     """
     queued = state.queued_bytes
-    if not any(queued.values()):
+    solo = state.solo
+    if solo is None:
+        if not any(queued.values()):
+            return None, None
+    elif not queued[solo]:
         return None, None
     profile = state.profile
     caps = state.caps
@@ -221,31 +233,50 @@ def arbitrate(state: PortState, now: float, rate: float, can_send=None):
     if now >= state.window_end:
         state._roll_window(now, rate)
 
-    # per class with backlog, the lowest-VC head that is within its rate cap
-    # and has downstream credit
-    wake: float | None = None
-    candidates: dict[int, deque] = {}
-    for c, lanes in state.vc_queues.items():
-        if not queued[c]:
-            continue
-        cap = caps.get(c)
-        for q in lanes:
-            if not q:
-                continue
-            head = q[0]
-            t = cap.wait(now, head.length, rate) if cap else None
-            if t is not None:
-                if wake is None or t < wake:
-                    wake = t
-                continue
-            if can_send is not None and not can_send(head):
-                continue
-            candidates[c] = q
-            break
-    if not candidates:
-        return None, wake
-
     deficit = state.deficit
+    wake: float | None = None
+    if solo is not None:
+        for q in state.vc_queues[solo]:
+            if q and (can_send is None or can_send(q[0])):
+                break
+        else:
+            return None, None
+        if deficit[solo] >= q[0].length:
+            chunk = q.popleft()
+            length = chunk.length
+            left = queued[solo] = queued[solo] - length
+            deficit[solo] = deficit[solo] - length if left else 0.0
+            budget = state.budget
+            if budget[solo] > 0:  # expedited: the only candidate
+                budget[solo] -= length
+            else:
+                state.rr = profile.order.index(solo)
+            return chunk, None
+        candidates = {solo: q}
+    else:
+        # per class with backlog, the lowest-VC head that is within its rate
+        # cap and has downstream credit
+        candidates = {}
+        for c, lanes in state.vc_queues.items():
+            if not queued[c]:
+                continue
+            cap = caps.get(c)
+            for q in lanes:
+                if not q:
+                    continue
+                head = q[0]
+                t = cap.wait(now, head.length, rate) if cap else None
+                if t is not None:
+                    if wake is None or t < wake:
+                        wake = t
+                    continue
+                if can_send is not None and not can_send(head):
+                    continue
+                candidates[c] = q
+                break
+        if not candidates:
+            return None, wake
+
     order = profile.order
     n = len(order)
     entitled = []

@@ -366,13 +366,16 @@ class Router:
         self.tables = routing_sweep(topo, overlay)
         self.flow_table = FlowTable()
         self.rng = random.Random(seed)
-        # best route of each route set of ``tables`` scored against one view,
-        # keyed by id(route set); holding ``tables`` keeps the sets, and so
-        # their ids, alive.  The memo is exact for that view: a view never
-        # changes, and a set is always scored with the same weight.  It keeps
-        # the route alone, not its score, to stay small; detour sets the
-        # floor in ``_argmin`` skips are neither enumerated nor memoised.
-        self._memo: dict[int, Route] = {}
+        # (cost, w, route) of the best route of each route set of ``tables``
+        # scored against one view, keyed by id(route set); holding ``tables``
+        # keeps the sets, and so their ids, alive.  The memo is exact for
+        # that view: a view never changes, and a set is always scored with
+        # the same weight, so a hit rescores nothing.  Keeping the score is
+        # cheap: the memo lives for one view and holds one entry per set
+        # scored in it, and detour sets the floor in ``_argmin`` skips are
+        # neither enumerated nor memoised, so on a lightly loaded view it is
+        # mostly minimal sets.
+        self._memo: dict[int, tuple[float, float, Route]] = {}
         self._memo_for: tuple = (None, None)  # (view, tables)
 
     def sweep(self) -> RoutingTables:
@@ -473,30 +476,28 @@ class Router:
             self._memo_for = (view, self.tables)
         best = self._best_of(minimal, 1.0, view) if minimal else None
         bias = self.policy.nonminimal_bias
-        floor = (0.0, 3 * bias)
+        floor_w = 3 * bias  # costs are >= 0, so (cost, w) <= (0, floor_w)
         detours = self.tables.nonminimal_routes
         for g in groups:
-            if best is not None and best[:2] <= floor:
+            if best is not None and best[0] == 0.0 and best[1] <= floor_w:
                 break
             try:
                 routes = detours(src_sw, dst_sw, g)
             except NoRouteError:
                 continue
             hit = self._best_of(routes, bias, view)
-            if best is None or hit[:2] < best[:2]:
+            if best is None or hit[0] < best[0] or (
+                    hit[0] == best[0] and hit[1] < best[1]):
                 best = hit
         return None if best is None else best[2]
 
     def _best_of(self, routes: tuple[Route, ...], weight: float,
                  view: CongestionView):
         """``_best(routes, weight, view)``, through the memo."""
-        route = self._memo.get(id(routes))
-        if route is None:
-            hit = _best(routes, weight, view)
-            self._memo[id(routes)] = hit[2]
-            return hit
-        w = weight * (len(route.ports) + 1)
-        return w * view.route_max_occupancy(route), w, route
+        hit = self._memo.get(id(routes))
+        if hit is None:
+            hit = self._memo[id(routes)] = _best(routes, weight, view)
+        return hit
 
 
 def _best(routes: tuple[Route, ...], weight: float, view: CongestionView):

@@ -144,6 +144,25 @@ def test_permutation_64k(cc):
     assert summarize(report).startswith("Network Summary: 0 network timeouts. ")
 
 
+def test_no_kick_finds_its_port_busy(monkeypatch):
+    """Callers skip a busy port instead of kicking it: no ``_kick_port``
+    call on the 64 KiB permutation finds ``port.busy`` set, and the digest
+    stays the same."""
+    kicks, busy = [], []
+    kick = Engine._kick_port
+
+    def counted(self, port):
+        kicks.append(port.id)
+        if port.busy is not None:
+            busy.append(port.id)
+        return kick(self, port)
+
+    monkeypatch.setattr(Engine, "_kick_port", counted)
+    _, report = run(permutation(128, 64 * KIB, 1), cc=False)
+    assert report.digest == PERM_64K
+    assert kicks and not busy
+
+
 def test_incast_with_background_cc():
     engine, report = run(incast_with_background(128, 16 * KIB, 1), cc=True)
     assert report.digest == \

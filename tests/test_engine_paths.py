@@ -1,6 +1,7 @@
 """Engine paths no golden run reaches: flows without any route, the
 release of congestion throttles, ordered flows losing their pinned link,
-phase barriers and schedules the engine must reject.
+phase barriers, and the schedules, settings and faults the engine must
+reject.
 
 Every run goes through ``test_engine_digest.run``, so it shares its host-time
 budget and its byte-balance and credit-drain checks.
@@ -13,7 +14,7 @@ from slingsim.routing import Router
 from slingsim.topology import GLOBAL, port_key
 
 from test_engine_digest import KIB, Phase, Placement, Schedule, \
-    incast_with_background, make_engine, run
+    first_global, incast_with_background, make_engine, run
 
 MIB = 1024 * KIB
 
@@ -134,3 +135,29 @@ def test_barrier_passes_phases_without_work(schedule):
 def test_bad_schedule_is_rejected(placement, schedule):
     with pytest.raises(SimConfigError):
         make_engine().load(placement, schedule)
+
+
+@pytest.mark.parametrize("config", [
+    dict(sweep_interval_s=0.0),
+    dict(sweep_interval_s=-1e-3),
+    dict(buffer_bytes=-1),
+    dict(buffer_bytes=2048),
+], ids=["zero_sweep_interval", "negative_sweep_interval",
+        "negative_buffer", "buffer_below_one_chunk"])
+def test_bad_config_is_rejected(config):
+    """A zero sweep interval re-fires its sweep at one instant forever and a
+    negative one moves the clock back; a pool smaller than a chunk can
+    never take one, so the run would idle to ``duration_s``."""
+    with pytest.raises(SimConfigError):
+        make_engine(**config)
+
+
+@pytest.mark.parametrize("t_down", [-1e-3, float("nan"), float("inf")],
+                         ids=["negative", "nan", "inf"])
+def test_fault_outside_simulated_time_is_rejected(t_down):
+    """A flap must start at a finite time >= 0, or its first event would
+    fire before the clock's start (or never)."""
+    engine = make_engine()
+    with pytest.raises(SimConfigError):
+        engine.inject_fault(first_global(engine.topo), t_down, 30e-6)
+    assert not engine._faults

@@ -7,8 +7,12 @@ drives the live ``PortState``/``arbitrate`` and the reference copy in
 Ethernet class, priorities 2/1/0, several VCs per class), random credit
 refusals and time steps that cross QoS window rolls, and requires identical
 picks, wake times, ``can_send`` call sequences and class state after every
-call.
+call.  Half the runs queue a single class only: each uncapped class then
+takes the one-class fast path of ``arbitrate``, and Ethernet, being capped,
+takes the full path.
 """
+
+from itertools import count
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,13 +34,22 @@ class Chunk:
         self.length = length
 
 
-enqueue_op = st.tuples(
-    st.just("enqueue"),
-    st.sampled_from([c.class_id for c in default_profile()]),
-    st.integers(0, 3),  # vc
-    # mostly full chunks, as the engine makes them
-    st.one_of(st.just(QUANTUM), st.integers(0, QUANTUM)),
-)
+CLASSES = [c.class_id for c in default_profile()]
+
+
+def enqueue_op(classes):
+    return st.tuples(
+        st.just("enqueue"),
+        st.sampled_from(classes),
+        st.integers(0, 3),  # vc
+        # mostly full chunks, as the engine makes them
+        st.one_of(st.just(QUANTUM), st.integers(0, QUANTUM)),
+        # a burst of chunks now and then, so backlogs outlast a quantum
+        # (best effort's is ten full chunks)
+        st.one_of(st.just(1), st.integers(1, 30)),
+    )
+
+
 arbitrate_op = st.tuples(
     st.just("arbitrate"),
     # time step: none, about one chunk time, or past a window roll
@@ -74,18 +87,26 @@ def class_state(state) -> tuple:
             state.window_end)
 
 
+# all four classes, or one alone
+class_pools = st.one_of(st.just(CLASSES), st.sampled_from(CLASSES).map(
+    lambda c: [c]))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(enqueue_op, arbitrate_op), min_size=40, max_size=250))
+@given(class_pools.flatmap(lambda classes: st.lists(
+    st.one_of(enqueue_op(classes), arbitrate_op), min_size=40, max_size=250)))
 def test_arbitrate_matches_reference(ops):
     live = qos.PortState(qos.ClassProfile(default_profile(), QUANTUM, WINDOW))
     frozen = ref.PortState(default_profile(), QUANTUM, WINDOW)
     now = 0.0
-    for n, op in enumerate(ops):
+    ids = count()
+    for op in ops:
         if op[0] == "enqueue":
-            _, tc, vc, length = op
-            chunk = Chunk(n, length)
-            live.enqueue(chunk, tc, vc)
-            frozen.enqueue(chunk, tc, vc)
+            _, tc, vc, length, burst = op
+            for _ in range(burst):
+                chunk = Chunk(next(ids), length)
+                live.enqueue(chunk, tc, vc)
+                frozen.enqueue(chunk, tc, vc)
         else:
             _, dt, refusals, gated = op
             now += dt
@@ -116,3 +137,28 @@ def test_capped_class_reports_wake_time():
         chunk, wake = impl.arbitrate(state, 0.0, RATE)
         assert chunk is None
         assert wake == QUANTUM / (0.30 * RATE)
+
+
+def test_one_class_port_walks_the_rotor_when_its_deficit_runs_out():
+    """Thirty queued best-effort chunks outlast the class quantum of ten, so
+    the one-class fast path must twice hand a head short of deficit to the
+    rotor walk; picks and state stay those of the reference throughout."""
+    live = qos.PortState(qos.ClassProfile(default_profile(), QUANTUM, WINDOW))
+    frozen = ref.PortState(default_profile(), QUANTUM, WINDOW)
+    for n in range(30):
+        chunk = Chunk(n, QUANTUM)
+        live.enqueue(chunk, qos.BEST_EFFORT, n % 2)
+        frozen.enqueue(chunk, qos.BEST_EFFORT, n % 2)
+    assert live.solo == qos.BEST_EFFORT
+    refills = 0
+    for n in range(30):
+        now = n * QUANTUM / RATE
+        before = live.deficit[qos.BEST_EFFORT]
+        got = qos.arbitrate(live, now, RATE, lambda chunk: True)
+        want = ref.arbitrate(frozen, now, RATE, lambda chunk: True)
+        assert got[0] is want[0] is not None and got[1] is want[1] is None
+        assert class_state(live) == class_state(frozen)
+        refills += before < QUANTUM
+    assert refills == 2
+    live.enqueue(Chunk(30, QUANTUM), qos.ETHERNET, 0)
+    assert live.solo is None

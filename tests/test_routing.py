@@ -14,6 +14,7 @@ from collections import deque
 import pytest
 
 from conftest import make_spec, bench_spec
+from slingsim import routing
 from slingsim.routing import (
     CongestionView,
     NoRouteError,
@@ -433,37 +434,70 @@ def exhaustive_pick(topo, tables, occ, src, dst, bias):
     return candidates[min(range(len(candidates)), key=rank)][0]
 
 
-@pytest.mark.parametrize("bias", [0.25, 0.5, 1.0, 2.0, 4.0])
-@pytest.mark.parametrize("fabric", ["small_topo", "bench_topo"])
-def test_select_route_is_exhaustive_minimum(fabric, bias, request):
-    """Sampling every intermediate group (no RNG draw), the pick equals the
+def check_exhaustive_minimum(topo, bias, seed, per_view, monkeypatch):
+    """Sampling every intermediate group (no RNG draw), picks equal the
     exhaustive minimum on views where most ports are idle.  Two global
     links are in maintenance, so on the small fabric some pairs have no
-    minimal route."""
-    topo = request.getfixturevalue(fabric)
-    rng = random.Random(len(fabric) * 100 + int(bias * 4))
+    minimal route.  Each view serves ``per_view`` decisions, cycling through
+    one endpoint pair, or four when it serves several; returns the number
+    of route sets scored and the number looked up in the router's memo."""
+    rng = random.Random(seed)
     ov = StateOverlay(topo)
     for lid in rng.sample([l.id for l in topo.links if l.kind == "global"], 2):
         ov.set_link_state(lid, status="maintenance")
     router = Router(topo, ov, RoutingPolicy(
         nonminimal_bias=bias, intermediate_samples=len(topo.group_kinds)))
     ports = [port_id(l, d) for l in topo.fabric_link_ids() for d in (0, 1)]
+    looked_up, scored = [], []
+    best, best_of = routing._best, Router._best_of
+    monkeypatch.setattr(routing, "_best",
+                        lambda *args: scored.append(1) or best(*args))
+    monkeypatch.setattr(Router, "_best_of",
+                        lambda *args: looked_up.append(1) or best_of(*args))
     detours = 0
-    for _ in range(300):
-        src = rng.randrange(topo.total_endpoints)
-        dst = rng.randrange(topo.total_endpoints)
-        src_sw, dst_sw = topo.switch_of_endpoint(src), topo.switch_of_endpoint(dst)
+    for _ in range(300 // per_view):
+        pairs = [(rng.randrange(topo.total_endpoints),
+                  rng.randrange(topo.total_endpoints))
+                 for _ in range(1 if per_view == 1 else 4)]
         busy = rng.choice((0.0, 0.05, 0.3))
         occ = {p: float(rng.choice((4096, 8192, 65536)))
                for p in ports if rng.random() < busy}
-        state = router.rng.getstate()
-        pick = router.select_route(src, dst, 0, False,
-                                   view=CongestionView(0.0, occ))
-        assert router.rng.getstate() == state
-        assert pick == exhaustive_pick(topo, router.tables, occ, src_sw,
-                                       dst_sw, bias)
-        detours += pick.intermediate_group is not None
+        view = CongestionView(0.0, occ)
+        for k in range(per_view):
+            src, dst = pairs[k % len(pairs)]
+            src_sw = topo.switch_of_endpoint(src)
+            dst_sw = topo.switch_of_endpoint(dst)
+            state = router.rng.getstate()
+            pick = router.select_route(src, dst, 0, False, view=view)
+            assert router.rng.getstate() == state
+            assert pick == exhaustive_pick(topo, router.tables, occ, src_sw,
+                                           dst_sw, bias)
+            detours += pick.intermediate_group is not None
     assert detours > 0
+    return len(scored), len(looked_up)
+
+
+@pytest.mark.parametrize("bias", [0.25, 0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("fabric", ["small_topo", "bench_topo"])
+def test_select_route_is_exhaustive_minimum(fabric, bias, request,
+                                            monkeypatch):
+    """One decision per view, so the memo starts empty at each."""
+    check_exhaustive_minimum(request.getfixturevalue(fabric), bias,
+                             len(fabric) * 100 + int(bias * 4), 1,
+                             monkeypatch)
+
+
+@pytest.mark.parametrize("bias", [0.25, 0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("fabric", ["small_topo", "bench_topo"])
+def test_memo_hits_are_exhaustive_minimum(fabric, bias, request,
+                                          monkeypatch):
+    """20 decisions among 4 endpoint pairs per view: most route sets are
+    answered from the memo of their best score, and every pick must still
+    equal the exhaustive minimum."""
+    scored, looked_up = check_exhaustive_minimum(
+        request.getfixturevalue(fabric), bias,
+        len(fabric) * 100 + int(bias * 4), 20, monkeypatch)
+    assert scored < looked_up / 2
 
 
 def test_idle_fabric_can_prefer_a_detour(small_topo):
