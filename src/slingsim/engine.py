@@ -23,8 +23,10 @@ release.  Traffic to other destinations is never throttled.
 
 Link faults flush and invalidate in-flight chunks; each lost chunk retries
 from its source after the retry timeout and counts one network timeout.  A
-chunk that has retried ``max_retries`` times, lost or without a route, fails
-its message.
+chunk that finds no route, when it is cut or when it retries, counts a
+timeout and retries the same way, and its message releases no further
+chunks until a chunk of it gets a route again.  A chunk that has retried
+``max_retries`` times, lost or without a route, fails its message.
 Route choice consults the last routing sweep, so a failed link keeps
 attracting (and bouncing) traffic until the next sweep excludes it.  Every
 chunk of an ordered flow takes the flow's pinned route; a sweep that finds
@@ -114,19 +116,15 @@ class Message:
     fully_released: bool = False
     failed: bool = False
     done: bool = False
-    stall_retries: int = 0
-    stalled_until: float = -1.0
 
 
 class Chunk:
-    __slots__ = ("msg", "offset", "length", "path", "hop", "tx_gen", "retries")
+    __slots__ = ("msg", "length", "path", "hop", "tx_gen", "retries")
 
-    def __init__(self, msg: Message, offset: int, length: int,
-                 path: tuple[int, ...]):
+    def __init__(self, msg: Message, length: int):
         self.msg = msg
-        self.offset = offset
         self.length = length
-        self.path = path  # port ids
+        self.path: tuple[int, ...] = ()  # port ids, set by Engine._route
         self.hop = 0  # index of the port currently being traversed/queued
         self.tx_gen = 0
         self.retries = 0  # timeouts over the chunk's whole life
@@ -186,7 +184,7 @@ class Injector:
     and per-congested-destination rate limits."""
 
     __slots__ = ("ep", "edge_link", "out_port", "active", "rr", "retries",
-                 "throttles", "registered", "wake_at")
+                 "throttles", "wake_at")
 
     def __init__(self, ep: int, edge_link: int):
         self.ep = ep
@@ -197,7 +195,6 @@ class Injector:
         self.retries: list[Chunk] = []
         # egress edge link -> bucket at that link's fair share
         self.throttles: dict[int, TokenBucket] = {}
-        self.registered = False
         self.wake_at = float("inf")
 
 
@@ -552,22 +549,17 @@ class Engine:
         while True:
             # retry chunks first, in arrival order
             chunk = None
-            msg = None
             if inj.retries:
                 cand = inj.retries[0]
-                if cand.msg.done:
+                if self._drop_resolved(cand):
                     inj.retries.pop(0)
-                    if cand.msg.failed:
-                        self.failed_bytes += cand.length
                     continue
                 t = self._throttle_wait(inj, cand.msg, cand.length)
                 if t is None:
                     if out.committed[0] + cand.length > buffer:
-                        self._wait_credit(inj, out)
+                        out.waiters[inj] = None
                         break
                     chunk = inj.retries.pop(0)
-                    msg = chunk.msg
-                    self._charge_throttle(inj, msg, chunk.length)
                 else:
                     wake = t if wake is None else min(wake, t)
             if chunk is None:
@@ -577,10 +569,11 @@ class Engine:
                 if isinstance(msg, float):  # earliest unblock time
                     wake = msg if wake is None else min(wake, msg)
                     break
-                chunk = self._make_chunk(inj, msg, quantum)
+                chunk = self._make_chunk(msg, quantum)
                 if chunk is None:
-                    continue  # message stalled on routing; try others
+                    continue  # no route: the chunk retries; try others
             # hand the chunk to the edge-out port
+            self._charge_throttle(inj, chunk.msg, chunk.length)
             out.committed[0] += chunk.length
             out.occ += chunk.length
             self.active_ports[out.id] = out
@@ -594,16 +587,12 @@ class Engine:
 
     def _next_message(self, inj: Injector, out: Port, buffer: int, quantum: int):
         """Next releasable message in round-robin order, None when idle, or a
-        float wake time when everything is throttle/stall-blocked."""
+        float wake time when everything is throttle-blocked."""
         n = len(inj.active)
         earliest: float | None = None
         for i in range(n):
             msg = inj.active[(inj.rr + i) % n]
             if msg.done or msg.fully_released:
-                continue
-            if msg.stalled_until > self.now:
-                t = msg.stalled_until
-                earliest = t if earliest is None else min(earliest, t)
                 continue
             length = min(quantum, msg.size - msg.released) if msg.size else 0
             t = self._throttle_wait(inj, msg, length)
@@ -611,7 +600,7 @@ class Engine:
                 earliest = t if earliest is None else min(earliest, t)
                 continue
             if out.committed[0] + length > buffer:
-                self._wait_credit(inj, out)
+                out.waiters[inj] = None
                 return None
             inj.rr = (inj.rr + i) % n
             return msg
@@ -619,40 +608,34 @@ class Engine:
         inj.rr = 0
         return earliest
 
-    def _make_chunk(self, inj: Injector, msg: Message, quantum: int) -> Chunk | None:
-        try:
-            route = self.router.select_route(
-                msg.src, msg.dst, msg.traffic_class, msg.ordered, self.view)
-        except NoRouteError:
-            self._stall(msg)
-            return None
+    def _make_chunk(self, msg: Message, quantum: int) -> Chunk | None:
+        """Cut ``msg``'s next chunk and route it; None when it found no
+        route and waits to retry."""
         length = min(quantum, msg.size - msg.released) if msg.size else 0
-        chunk = Chunk(msg, msg.released, length,
-                      self._build_path(msg.src, msg.dst, route, self.topo))
+        chunk = Chunk(msg, length)
         msg.released += length
         if msg.released >= msg.size:
             msg.fully_released = True
         self.injected_bytes += length
-        self._charge_throttle(inj, msg, length)
-        return chunk
+        return chunk if self._route(chunk) else None
 
-    def _stall(self, msg: Message) -> None:
-        """No usable route right now: count a timeout and retry later."""
-        msg.stall_retries += 1
-        self._note_timeout(msg, self.topo.edge_link_of_endpoint(msg.src))
-        if msg.stall_retries > self.config.max_retries:
-            self._fail(msg)
-            return
-        msg.stalled_until = self.now + self.config.retry_timeout_us * 1e-6
-        inj = self._injector(msg.src)
-        if msg.stalled_until < inj.wake_at:
-            inj.wake_at = msg.stalled_until
-            self._push(msg.stalled_until, K_WAKEINJ, inj)
-
-    def _wait_credit(self, inj: Injector, port: Port) -> None:
-        if not inj.registered:
-            inj.registered = True
-            port.waiters[inj] = None
+    def _route(self, chunk: Chunk) -> bool:
+        """Give ``chunk`` a fresh path from its source.  Without a route,
+        its message stops releasing chunks and the chunk retries later,
+        counting a timeout on the source edge link."""
+        msg = chunk.msg
+        try:
+            route = self.router.select_route(
+                msg.src, msg.dst, msg.traffic_class, msg.ordered, self.view)
+        except NoRouteError:
+            active = self.injectors[msg.src].active
+            if msg in active:
+                active.remove(msg)
+            self._retry_later(chunk, self.topo.edge_link_of_endpoint(msg.src))
+            return False
+        chunk.path = self._build_path(msg.src, msg.dst, route, self.topo)
+        chunk.hop = 0
+        return True
 
     # -- port service ----------------------------------------------------------------
 
@@ -735,7 +718,6 @@ class Engine:
         heap, seq, now = self._heap, self._seq, self.now
         for w in waiters:
             if isinstance(w, Injector):
-                w.registered = False
                 heapq.heappush(heap, (now, next(seq), K_WAKEINJ, w))
             else:
                 heapq.heappush(heap, (now, next(seq), K_WAKEPORT, w))
@@ -803,9 +785,7 @@ class Engine:
         ``max_retries`` times."""
         msg = chunk.msg
         self._note_timeout(msg, link_id)
-        if msg.done:
-            if msg.failed:
-                self.failed_bytes += chunk.length
+        if self._drop_resolved(chunk):
             return
         chunk.retries += 1
         if chunk.retries > self.config.max_retries:
@@ -815,22 +795,22 @@ class Engine:
             self._push(self.now + self.config.retry_timeout_us * 1e-6,
                        K_RETRY, chunk)
 
-    def _on_retry(self, chunk: Chunk) -> None:
+    def _drop_resolved(self, chunk: Chunk) -> bool:
+        """Whether ``chunk``'s message is already resolved, so the chunk is
+        dropped; its bytes count as failed when the message failed."""
         msg = chunk.msg
-        if msg.done:
-            if msg.failed:
-                self.failed_bytes += chunk.length
+        if msg.failed:
+            self.failed_bytes += chunk.length
+        return msg.done
+
+    def _on_retry(self, chunk: Chunk) -> None:
+        if self._drop_resolved(chunk) or not self._route(chunk):
             return
-        try:
-            route = self.router.select_route(
-                msg.src, msg.dst, msg.traffic_class, msg.ordered, self.view)
-        except NoRouteError:
-            self._retry_later(chunk, self.topo.edge_link_of_endpoint(msg.src))
-            return
-        chunk.path = self._build_path(msg.src, msg.dst, route, self.topo)
-        chunk.hop = 0
-        inj = self._injector(msg.src)
+        msg = chunk.msg
+        inj = self.injectors[msg.src]
         inj.retries.append(chunk)
+        if not msg.fully_released and msg not in inj.active:
+            inj.active.append(msg)  # it has a route again
         self._run_injector(inj)
 
     def _on_fault(self, link_id: int, action: str, duration: float) -> None:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -117,13 +115,6 @@ class SimReport:
         p99 = lats[min(len(lats) - 1, int(0.99 * len(lats)))]
         return mean, lats[-1], p99
 
-    def delivered_by_rank(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for m in self.messages:
-            if m.completed:
-                out[m.dst_rank] = out.get(m.dst_rank, 0) + m.size
-        return out
-
     # -- exports -------------------------------------------------------------
 
     def to_json(self) -> str:
@@ -156,15 +147,6 @@ class SimReport:
             ],
         }
         return json.dumps(doc, sort_keys=True, indent=1)
-
-    def timeseries_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["time_s", "agg_bw_bytes_per_s", "inflight_bytes",
-                    "timeouts_cum"])
-        for t, bw, inflight, timeouts in self.series:
-            w.writerow([f"{t:.9f}", f"{bw:.3f}", inflight, timeouts])
-        return buf.getvalue()
 
 
 def summarize(report: SimReport) -> str:

@@ -153,7 +153,6 @@ class Topology:
     links: tuple[Link, ...]
     local_links: Mapping[tuple[int, int], tuple[int, ...]]  # (sw_a, sw_b) a<b
     global_links: Mapping[tuple[int, int], tuple[int, ...]]  # (grp_a, grp_b) a<b
-    adjacency: Mapping[int, tuple[int, ...]]  # switch -> all attached link ids
 
     # -- arithmetic helpers -------------------------------------------------
 
@@ -197,10 +196,6 @@ class Topology:
     def endpoints_of_node(self, node: int) -> range:
         k = self.spec.nics_per_node
         return range(node * k, (node + 1) * k)
-
-    def nodes_of_switch(self, switch: int) -> range:
-        k = self.spec.nodes_per_switch
-        return range(switch * k, (switch + 1) * k)
 
     def endpoints_of_switch(self, switch: int) -> range:
         k = self.spec.endpoints_per_switch
@@ -264,7 +259,6 @@ def build_topology(spec: TopologySpec) -> Topology:
     ports_used = [eps + (S - 1) * spec.local_links_per_switch_pair] * n_switches
 
     links: list[Link] = []
-    adjacency: dict[int, list[int]] = {s: [] for s in range(n_switches)}
 
     # edge links: endpoint e attaches to its switch at port e % eps
     for sw in range(n_switches):
@@ -272,7 +266,6 @@ def build_topology(spec: TopologySpec) -> Topology:
             e = sw * eps + p
             links.append(Link(id=e, kind=EDGE, switch_a=sw, port_a=p,
                               switch_b=sw, port_b=p, endpoint=e))
-            adjacency[sw].append(e)
 
     # local links: all-to-all within each group, port numbering after edges
     local_links: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -290,8 +283,6 @@ def build_topology(spec: TopologySpec) -> Topology:
                     lid = len(links)
                     links.append(Link(id=lid, kind=LOCAL, switch_a=sa,
                                       port_a=pa, switch_b=sb, port_b=pb))
-                    adjacency[sa].append(lid)
-                    adjacency[sb].append(lid)
                     ids.append(lid)
                 if ids:
                     local_links[(sa, sb)] = tuple(ids)
@@ -323,8 +314,6 @@ def build_topology(spec: TopologySpec) -> Topology:
                 lid = len(links)
                 links.append(Link(id=lid, kind=GLOBAL, switch_a=sa,
                                   port_a=pa, switch_b=sb, port_b=pb))
-                adjacency[sa].append(lid)
-                adjacency[sb].append(lid)
                 ids.append(lid)
             global_links[(ga, gb)] = tuple(ids)
 
@@ -334,7 +323,6 @@ def build_topology(spec: TopologySpec) -> Topology:
         links=tuple(links),
         local_links=local_links,
         global_links=global_links,
-        adjacency={s: tuple(v) for s, v in adjacency.items()},
     )
 
 

@@ -14,7 +14,7 @@ from slingsim.routing import Router
 from slingsim.topology import GLOBAL, port_key
 
 from test_engine_digest import KIB, Phase, Placement, Schedule, \
-    first_global, incast_with_background, make_engine, run
+    first_global, incast_with_background, make_engine, run, run_loaded
 
 MIB = 1024 * KIB
 
@@ -24,18 +24,64 @@ def globals_of_group_0(topo):
             if 0 in (ga, gb) for lid in lids]
 
 
+# three 64 KiB messages out of group 0, two of them on one ordered flow
+NO_ROUTE_WORKLOAD = (
+    Placement(4, (0, 1, 16, 32)),
+    Schedule((Phase(((0, 2, 64 * KIB, True), (0, 2, 64 * KIB, True),
+                     (1, 3, 64 * KIB, False))),)))
+
+
+def timeouts_by_message(report):
+    events = {}
+    for e in report.timeout_events:
+        events.setdefault(e.message_id, []).append(e)
+    return events
+
+
 def test_no_route_fails_after_max_retries():
-    """Group 0 is cut off before the router's first sweep: each message
-    stalls ``max_retries + 1`` times, one timeout each, then fails.  Two
-    of the messages share one ordered flow, whose pending count must still
-    drain the flow table."""
-    msgs = ((0, 2, 64 * KIB, True), (0, 2, 64 * KIB, True),
-            (1, 3, 64 * KIB, False))
-    engine, report = run((Placement(4, (0, 1, 16, 32)), Schedule((Phase(msgs),))),
-                         down=globals_of_group_0)
+    """Group 0 is cut off before the router's first sweep: each message's
+    first chunk is cut, finds no route and retries ``max_retries`` times,
+    one timeout each on its source edge link, ``retry_timeout_us`` apart;
+    then it fails its message.  The message releases no other chunk
+    meanwhile.  Two of the messages share one ordered flow, whose pending
+    count must still drain the flow table."""
+    cfg = SimConfig()
+    engine, report = run(NO_ROUTE_WORKLOAD, down=globals_of_group_0)
     assert all(m.failed for m in report.messages)
-    assert report.timeout_count == 3 * (SimConfig().max_retries + 1) == 27
-    assert report.injected_bytes == report.failed_bytes == 0
+    assert report.timeout_count == 3 * (cfg.max_retries + 1) == 27
+    assert report.injected_bytes == report.failed_bytes \
+        == 3 * cfg.chunk_quantum_bytes
+    events = timeouts_by_message(report)
+    assert sorted(events) == [m.id for m in report.messages]
+    for m in report.messages:
+        mine = events[m.id]
+        assert len(mine) == cfg.max_retries + 1
+        assert {e.link for e in mine} == {engine.topo.edge_link_of_endpoint(m.src)}
+        gaps = [b.time - a.time for a, b in zip(mine, mine[1:])]
+        assert gaps == pytest.approx(
+            [cfg.retry_timeout_us * 1e-6] * cfg.max_retries)
+    assert len(engine.router.flow_table) == 0
+
+
+def test_message_recovers_after_losing_its_route():
+    """The globals of group 0 are down before the first sweep and come back
+    up at 300 us; the sweep at 400 us restores the routes.  Each message's
+    first chunk finds no route at 0, 100, 200, 300 and 400 us (the last
+    retry, summed in floats, fires just before that sweep), one timeout
+    each.  It routes at its next retry, its message resumes, and every
+    message completes."""
+    engine = make_engine(cc=False, down=globals_of_group_0,
+                         sweep_interval_s=200e-6)
+    for link in globals_of_group_0(engine.topo):
+        engine.inject_fault(link, 0.0, 300e-6)
+    report = run_loaded(engine, NO_ROUTE_WORKLOAD)
+    assert report.incomplete_messages == 0
+    assert not any(m.failed for m in report.messages)
+    assert report.failed_bytes == 0
+    assert report.delivered_bytes == report.injected_bytes == 3 * 64 * KIB
+    assert report.timeout_count == 15
+    assert {i: len(e) for i, e in timeouts_by_message(report).items()} \
+        == {m.id: 5 for m in report.messages}
     assert len(engine.router.flow_table) == 0
 
 

@@ -26,8 +26,8 @@ from slingsim.routing import (
     enumerate_nonminimal_routes,
     routing_sweep,
 )
-from slingsim.topology import EDGE, StateOverlay, build_topology, port_id, \
-    port_key
+from slingsim.topology import EDGE, GLOBAL, StateOverlay, build_topology, \
+    port_id, port_key
 
 
 # -- independent oracles -------------------------------------------------------
@@ -249,6 +249,41 @@ def test_sweep_idempotent(small_topo):
     t1 = routing_sweep(small_topo, ov)
     t2 = routing_sweep(small_topo, ov, t1)
     assert t2 is t1
+
+
+def test_dead_link_routable_until_sweep(bench_topo):
+    """Route choice reads the last sweep, as a fabric manager's view does,
+    not the live overlay: a global link set down between sweeps is still
+    usable, and still chosen, until ``router.sweep()`` drops it."""
+    topo = bench_topo
+    overlay = StateOverlay(topo)
+    router = Router(topo, overlay, RoutingPolicy(mode="minimal"), seed=1)
+    src = ep_on_switch(topo, 0)
+    dst = ep_on_switch(topo, next(iter(topo.switches_of_group(1))))
+
+    def globals_of(route):
+        return {port_key(p)[0] for p in route.ports
+                if topo.links[port_key(p)[0]].kind == GLOBAL}
+
+    minimal = router.tables.minimal_routes(0, topo.switch_of_endpoint(dst))
+    dead = min(globals_of(minimal[0]))
+    over = [r for r in minimal if dead in globals_of(r)]
+    around = [r for r in minimal if dead not in globals_of(r)]
+    assert over and around
+    # load every route around the dead link, so a route over it is cheapest
+    over_ports = {p for r in over for p in r.ports}
+    busy = {p: 1e6 for r in around for p in r.ports if p not in over_ports}
+    assert all(set(r.ports) & set(busy) for r in around)
+    views = (CongestionView(0.0, busy), CongestionView())
+
+    overlay.set_link_state(dead, status="down")
+    assert router.tables.link_usable(dead)
+    assert dead in globals_of(router.select_route(src, dst, 0, False, views[0]))
+    router.sweep()
+    assert not router.tables.link_usable(dead)
+    for view in views:
+        assert dead not in globals_of(
+            router.select_route(src, dst, 0, False, view))
 
 
 # -- selection ---------------------------------------------------------------------
