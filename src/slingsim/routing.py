@@ -164,8 +164,7 @@ def _hop(topo: Topology, link_id: int, from_switch: int) -> tuple[int, int]:
 
 
 def _first_usable_local(topo: Topology, view, sa: int, sb: int) -> int | None:
-    key = (sa, sb) if sa < sb else (sb, sa)
-    for lid in topo.local_links.get(key, ()):
+    for lid in topo.local_links_between(sa, sb):
         if view.link_usable(lid):
             return lid
     return None
@@ -194,8 +193,7 @@ def enumerate_minimal_routes(topo: Topology, view, src_switch: int,
     gb = topo.group_of_switch(dst_switch)
     routes: list[Route] = []
     if ga == gb:
-        key = (min(src_switch, dst_switch), max(src_switch, dst_switch))
-        for lid in topo.local_links.get(key, ()):
+        for lid in topo.local_links_between(src_switch, dst_switch):
             if view.link_usable(lid):
                 routes.append(Route((_hop(topo, lid, src_switch)[0],)))
     else:

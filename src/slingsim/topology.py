@@ -12,15 +12,31 @@ Indices are arithmetic throughout:
 * switch ``s`` belongs to group ``s // switches_per_group``
 * node ``n`` sits on switch ``n // nodes_per_switch``
 * endpoint ``e`` belongs to node ``e // nics_per_node`` and its edge link
-  has link id equal to ``e``.
+  has link id equal to ``e``; it sits on switch ``e // eps`` at port
+  ``e % eps``, where ``eps`` is the endpoints per switch.
+* local links follow the edge links, group by group, then switch pair
+  ``(i, j)`` with ``i < j`` in lexicographic order, then ``d`` in
+  ``0..L-1`` for ``L`` links per switch pair: local link ``d`` between
+  switches ``i < j`` of group ``g`` has id
+  ``E + (g * P + q) * L + d``, where ``E`` is the endpoint count,
+  ``P = S * (S - 1) // 2`` the switch pairs per group of ``S`` switches and
+  ``q = i * (2 * S - i - 1) // 2 + j - i - 1`` the pair's rank.  Its port is
+  ``eps + (j - 1) * L + d`` on switch ``i`` and ``eps + i * L + d`` on
+  switch ``j``.
 * the directed port of link ``l`` travelled in direction ``d`` has port id
   ``2 * l + d`` (see :func:`port_id`).
+
+Edge and local links are therefore computed from their ids on demand; only
+the global links, whose round-robin wiring has no closed form, are stored
+(see :class:`LinkTable`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from operator import index as as_index
+from typing import Mapping
 
 import json
 
@@ -129,6 +145,88 @@ def port_key(port: int) -> tuple[int, int]:
     return port >> 1, port & 1
 
 
+class LinkTable(Sequence[Link]):
+    """The links of a fabric, indexed by link id.
+
+    Edge and local links are computed from their ids by the formulas in
+    the module docstring, each call building a fresh :class:`Link`; only the
+    global links are stored.  Supports ``len``, int indexing (negative ids
+    as a tuple does; ``IndexError`` outside ``[-len, len)``), slicing (to a
+    tuple), iteration and value equality: two tables are equal when they
+    have the same geometry and the same global links.
+    """
+
+    __slots__ = ("_eps", "_switches_per_group", "_per_pair", "_groups",
+                 "_pairs", "_per_group", "_first_local", "_first_global",
+                 "_globals")
+
+    def __init__(self, spec: TopologySpec, groups: int,
+                 global_links: tuple[Link, ...] = ()):
+        S = spec.switches_per_group
+        self._eps = spec.endpoints_per_switch
+        self._switches_per_group = S
+        self._per_pair = spec.local_links_per_switch_pair
+        self._groups = groups
+        self._pairs = tuple((i, j) for i in range(S) for j in range(i + 1, S))
+        self._per_group = len(self._pairs) * self._per_pair
+        self._first_local = groups * S * self._eps
+        self._first_global = self._first_local + groups * self._per_group
+        self._globals = global_links
+
+    def __len__(self) -> int:
+        return self._first_global + len(self._globals)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(map(self.__getitem__, range(*key.indices(len(self)))))
+        lid = as_index(key)
+        n = len(self)
+        if lid < 0:
+            lid += n
+        if not 0 <= lid < n:
+            raise IndexError(f"link id {key} out of range")
+        if lid >= self._first_global:
+            return self._globals[lid - self._first_global]
+        eps = self._eps
+        if lid < self._first_local:
+            sw, port = divmod(lid, eps)
+            return Link(lid, EDGE, sw, port, sw, port, lid)
+        # _per_group > 0 here: the local id range is empty otherwise
+        g, rank = divmod(lid - self._first_local, self._per_group)
+        L = self._per_pair
+        q, d = divmod(rank, L)
+        i, j = self._pairs[q]
+        base = g * self._switches_per_group
+        return Link(lid, LOCAL, base + i, eps + (j - 1) * L + d,
+                    base + j, eps + i * L + d)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def local_between(self, sa: int, sb: int) -> range:
+        """Ids of the local links between switches ``sa`` and ``sb``; empty
+        across groups and for the same switch."""
+        S = self._switches_per_group
+        g, i = divmod(sa, S)
+        gb, j = divmod(sb, S)
+        if g != gb or i == j:
+            return range(0)
+        if i > j:
+            i, j = j, i
+        L = self._per_pair
+        start = (self._first_local + g * self._per_group
+                 + (i * (2 * S - i - 1) // 2 + j - i - 1) * L)
+        return range(start, start + L)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinkTable):
+            return NotImplemented
+        return (self._eps, self._switches_per_group, self._per_pair,
+                self._groups, self._globals) \
+            == (other._eps, other._switches_per_group, other._per_pair,
+                other._groups, other._globals)
+
+
 @dataclass(frozen=True, slots=True)
 class FabricAddress:
     """Deterministic address of a switch port: (group, switch-in-group,
@@ -144,14 +242,18 @@ class Topology:
     """Immutable instantiated fabric.
 
     ``group_kinds[g]`` gives the kind of group g (compute groups come first,
-    then storage, then service).  ``links`` is indexed by link id; edge links
-    occupy ids ``0..total_endpoints-1`` in endpoint order.
+    then storage, then service).  ``links`` is a :class:`LinkTable` indexed
+    by link id: edge links occupy ids ``0..total_endpoints-1`` in endpoint
+    order, then come the local links, then the global links.  Edge and local
+    links are computed from their ids; only global links are stored.
+    ``global_links`` maps a group pair ``(a, b)``, ``a < b``, to the ids of
+    its global links; :meth:`local_links_between` gives the ids of the local
+    links between two switches.
     """
 
     spec: TopologySpec
     group_kinds: tuple[str, ...]
-    links: tuple[Link, ...]
-    local_links: Mapping[tuple[int, int], tuple[int, ...]]  # (sw_a, sw_b) a<b
+    links: LinkTable
     global_links: Mapping[tuple[int, int], tuple[int, ...]]  # (grp_a, grp_b) a<b
 
     # -- arithmetic helpers -------------------------------------------------
@@ -215,6 +317,11 @@ class Topology:
     def fabric_link_ids(self) -> range:
         return range(self.total_endpoints, len(self.links))
 
+    def local_links_between(self, sa: int, sb: int) -> range:
+        """Ids of the local links between switches ``sa`` and ``sb``, in
+        either order; empty across groups and for the same switch."""
+        return self.links.local_between(sa, sb)
+
 
 def _global_pair_multiplicity(spec: TopologySpec, kind_a: str, kind_b: str) -> int:
     """Number of global links between a pair of groups of the given kinds."""
@@ -258,34 +365,9 @@ def build_topology(spec: TopologySpec) -> Topology:
     # precompute the global-link demand per group to fail fast on port budget
     ports_used = [eps + (S - 1) * spec.local_links_per_switch_pair] * n_switches
 
-    links: list[Link] = []
-
-    # edge links: endpoint e attaches to its switch at port e % eps
-    for sw in range(n_switches):
-        for p in range(eps):
-            e = sw * eps + p
-            links.append(Link(id=e, kind=EDGE, switch_a=sw, port_a=p,
-                              switch_b=sw, port_b=p, endpoint=e))
-
-    # local links: all-to-all within each group, port numbering after edges
-    local_links: dict[tuple[int, int], tuple[int, ...]] = {}
-    L = spec.local_links_per_switch_pair
-    for g in range(n_groups):
-        base = g * S
-        for i in range(S):
-            for j in range(i + 1, S):
-                sa, sb = base + i, base + j
-                ids = []
-                for d in range(L):
-                    # port of the peer within this switch's local block
-                    pa = eps + (j - 1) * L + d
-                    pb = eps + i * L + d
-                    lid = len(links)
-                    links.append(Link(id=lid, kind=LOCAL, switch_a=sa,
-                                      port_a=pa, switch_b=sb, port_b=pb))
-                    ids.append(lid)
-                if ids:
-                    local_links[(sa, sb)] = tuple(ids)
+    # edge and local links are arithmetic (see LinkTable); global ids follow
+    first_global = len(LinkTable(spec, n_groups))
+    global_list: list[Link] = []
 
     # global links: iterate group pairs lexicographically; each group hands
     # out switches round-robin from its own rotating cursor
@@ -311,17 +393,16 @@ def build_topology(spec: TopologySpec) -> Topology:
                         f"{SWITCH_RADIX} ports; reduce global link counts")
                 next_port[sa] = pa + 1
                 next_port[sb] = pb + 1
-                lid = len(links)
-                links.append(Link(id=lid, kind=GLOBAL, switch_a=sa,
-                                  port_a=pa, switch_b=sb, port_b=pb))
+                lid = first_global + len(global_list)
+                global_list.append(Link(id=lid, kind=GLOBAL, switch_a=sa,
+                                        port_a=pa, switch_b=sb, port_b=pb))
                 ids.append(lid)
             global_links[(ga, gb)] = tuple(ids)
 
     return Topology(
         spec=spec,
         group_kinds=group_kinds,
-        links=tuple(links),
-        local_links=local_links,
+        links=LinkTable(spec, n_groups, tuple(global_list)),
         global_links=global_links,
     )
 
@@ -443,16 +524,13 @@ def topology_metrics(topo: Topology) -> TopologyMetrics:
     compute_set = set(computes)
     per_link_both = 2.0 * spec.link_bw_per_dir
 
+    # group pairs in insertion order are link ids in order, so the sum runs
+    # in link-id order
     global_bw = 0.0
-    fabric_links = 0
-    for link in topo.links[topo.total_endpoints:]:
-        fabric_links += 1
-        if link.kind != GLOBAL:
-            continue
-        ga = topo.group_of_switch(link.switch_a)
-        gb = topo.group_of_switch(link.switch_b)
+    for (ga, gb), ids in topo.global_links.items():
         if ga in compute_set and gb in compute_set:
-            global_bw += per_link_both
+            for _ in ids:
+                global_bw += per_link_both
 
     # balanced bipartition of the compute groups; only compute-compute links
     # can cross it, and every split pair contributes the same multiplicity
@@ -465,7 +543,7 @@ def topology_metrics(topo: Topology) -> TopologyMetrics:
     return TopologyMetrics(
         endpoint_count=endpoint_count,
         switch_count=topo.switch_count,
-        fabric_link_count=fabric_links,
+        fabric_link_count=len(topo.links) - topo.total_endpoints,
         injection_bw=endpoint_count * spec.link_bw_per_dir,
         global_bw=global_bw,
         bisection_bw=bisection_bw,

@@ -1,12 +1,14 @@
-"""A sparse permutation on the full Aurora fabric.
+"""The full Aurora fabric: the size of its topology, and a sparse
+permutation on it.
 
-Every chunk of a 16 KiB message is routed before the first congestion tick
-(2 us), so every decision sees the idle view.  There the minimal route
-reaches the detour floor, so route selection must never enumerate a detour
-set: 256 ranks draw thousands of them without the floor.
+In the permutation, every chunk of a 16 KiB message is routed before the
+first congestion tick (2 us), so every decision sees the idle view.  There
+the minimal route reaches the detour floor, so route selection must never
+enumerate a detour set: 256 ranks draw thousands of them without the floor.
 """
 
 import random
+import tracemalloc
 
 from slingsim import routing
 from slingsim.engine import Engine, SimConfig
@@ -18,6 +20,22 @@ from test_engine_digest import KIB, Phase, Placement, Schedule, derangement, \
     run_loaded
 
 RANKS = 256
+
+# bytes the built Aurora topology may hold: edge and local links are
+# computed from their ids, so this covers the ~31k stored global links and
+# their per-group-pair index (about 8 MB); every link stored would be ~47 MB
+TOPOLOGY_BYTES = 12e6
+
+
+def test_aurora_topology_stores_only_global_links():
+    tracemalloc.start()
+    try:
+        topo = build_topology(aurora_spec())
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= TOPOLOGY_BYTES
+    assert len(topo.links) == 207_450
 
 
 def sparse_permutation(spec, ranks: int, size: int, seed: int):

@@ -11,7 +11,7 @@ import pytest
 
 from slingsim.engine import Engine, SimConfig, SimConfigError
 from slingsim.routing import Router
-from slingsim.topology import GLOBAL, port_key
+from slingsim.topology import GLOBAL, StateOverlay, TopologyError, port_key
 
 from test_engine_digest import KIB, Phase, Placement, Schedule, \
     first_global, incast_with_background, make_engine, run, run_loaded
@@ -207,3 +207,21 @@ def test_fault_outside_simulated_time_is_rejected(t_down):
     with pytest.raises(SimConfigError):
         engine.inject_fault(first_global(engine.topo), t_down, 30e-6)
     assert not engine._faults
+
+
+@pytest.mark.parametrize("past_end", [True, False], ids=["len", "negative"])
+def test_bad_link_id_fails_fast(past_end):
+    """A link id outside ``[0, len(links))`` is rejected by the overlay and
+    by ``inject_fault``, and indexing the link table at ``len`` or at
+    ``-len - 1`` raises ``IndexError`` instead of computing a link."""
+    engine = make_engine()
+    links = engine.topo.links
+    n = len(links)
+    with pytest.raises(TopologyError):
+        StateOverlay(engine.topo).set_link_state(n if past_end else -1,
+                                                 status="down")
+    with pytest.raises(SimConfigError):
+        engine.inject_fault(n if past_end else -1, 0.0, 30e-6)
+    assert not engine._faults
+    with pytest.raises(IndexError):
+        links[n if past_end else -n - 1]

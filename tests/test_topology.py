@@ -5,6 +5,7 @@ every pair of switches/groups with itertools and counts expected links from
 first principles, never consulting the builder's bookkeeping.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -30,6 +31,9 @@ from slingsim.topology import (
     port_key,
     topology_metrics,
 )
+
+from conftest import bench_spec
+from topology_reference import build_reference
 
 
 def small_spec(**kw) -> TopologySpec:
@@ -95,7 +99,8 @@ def test_structural_audit_matches_brute_force(spec):
     for g in range(len(topo.group_kinds)):
         sws = list(topo.switches_of_group(g))
         for sa, sb in itertools.combinations(sws, 2):
-            assert len(topo.local_links[(sa, sb)]) == spec.local_links_per_switch_pair
+            assert len(topo.local_links_between(sa, sb)) \
+                == spec.local_links_per_switch_pair
 
 
 def test_aurora_counts():
@@ -157,6 +162,50 @@ def test_global_links_round_robin_balanced():
     assert max(per_switch.values()) - min(per_switch.values()) <= 1
 
 
+# -- link table against the eager reference builder ---------------------------
+
+@pytest.mark.parametrize("spec", [
+    bench_spec(),
+    small_spec(compute_groups=3, storage_groups=2, service_groups=1,
+               nodes_per_switch=2, global_links_per_compute_pair=2),
+    small_spec(local_links_per_switch_pair=2),
+    small_spec(switches_per_group=1),  # no local links
+    small_spec(local_links_per_switch_pair=0),  # no local links
+    small_spec(compute_groups=1),  # no global links
+], ids=["bench", "storage_service", "two_locals", "one_switch",
+        "zero_locals", "one_group"])
+def test_link_table_matches_reference(spec):
+    topo = build_topology(spec)
+    ref = build_reference(spec)
+    links, n = topo.links, len(ref.links)
+    assert len(links) == n
+    names = [f.name for f in dataclasses.fields(ref.links[0])]
+    for lid, want in enumerate(ref.links):
+        for got in (links[lid], links[lid - n]):
+            assert [getattr(got, f) for f in names] \
+                == [getattr(want, f) for f in names], lid
+    assert tuple(links) == ref.links
+    for cut in (slice(None), slice(3, -2, 3), slice(None, None, -1),
+                slice(topo.total_endpoints, None), slice(n, n + 5)):
+        assert links[cut] == ref.links[cut], cut
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            links[bad]
+    assert links == build_topology(spec).links
+    assert topo.global_links == ref.global_links
+
+    # every ordered switch pair: same group, other group and same switch
+    switches = range(topo.switch_count)
+    for sa, sb in itertools.product(switches, switches):
+        want = ref.local_links.get((min(sa, sb), max(sa, sb)), ())
+        assert tuple(topo.local_links_between(sa, sb)) == want, (sa, sb)
+
+
+def test_link_tables_of_different_specs_differ():
+    assert build_topology(small_spec()).links \
+        != build_topology(small_spec(local_links_per_switch_pair=2)).links
+
+
 # -- metrics -------------------------------------------------------------------
 
 def test_aurora_metrics_table():
@@ -185,6 +234,22 @@ def test_metrics_brute_force_small():
     assert m.global_bw == pytest.approx(n_links * 2 * spec.link_bw_per_dir)
     # balanced split of 5 groups: 2x3 crossing pairs, 2 links each, both dirs
     assert m.bisection_bw == pytest.approx(2 * 3 * 2 * 2 * spec.link_bw_per_dir)
+
+
+# the values the eager builder's walk over every fabric link gave
+@pytest.mark.parametrize("spec, global_bw, bisection_bw, fabric_links", [
+    (aurora_spec(), 1369500000000000.0, 688900000000000.0, 117850),
+    (small_spec(compute_groups=3, storage_groups=2, service_groups=1,
+                nodes_per_switch=2, global_links_per_compute_pair=2),
+     300000000000.0, 200000000000.0, 53),
+    (small_spec(compute_groups=5, global_links_per_compute_pair=2),
+     1000000000000.0, 600000000000.0, 50),
+], ids=["aurora", "storage_service", "five_groups"])
+def test_metrics_pinned(spec, global_bw, bisection_bw, fabric_links):
+    m = topology_metrics(build_topology(spec))
+    assert m.global_bw == global_bw
+    assert m.bisection_bw == bisection_bw
+    assert m.fabric_link_count == fabric_links
 
 
 # -- addressing ----------------------------------------------------------------
