@@ -43,8 +43,7 @@ from itertools import count
 from slingsim.qos import ClassProfile, PortState, TokenBucket, arbitrate
 from slingsim.report import FlapEvent, MessageRecord, SimReport, TimeoutEvent
 from slingsim.routing import CongestionView, NoRouteError, Route, Router
-from slingsim.topology import EDGE, GLOBAL, StateOverlay, Topology, port_id, \
-    port_key
+from slingsim.topology import EDGE, StateOverlay, Topology, port_id, port_key
 
 
 class SimConfigError(ValueError):
@@ -53,6 +52,7 @@ class SimConfigError(ValueError):
 
 MAX_VC = 8  # edge + up to 5 fabric hops + edge, with margin
 DEFAULT_WINDOW = 16  # outstanding messages per rank when a schedule sets none
+INF = float("inf")  # "no wake pending"; one object shared by every port
 BARRIERS = ("none", "rank", "global")
 
 
@@ -91,6 +91,9 @@ class SimConfig:
                 raise SimConfigError(f"{name} must be > 0")
         if self.buffer_bytes < 0:
             raise SimConfigError("buffer_bytes must be >= 0")
+        if self.cc_theta_bytes < 0:
+            # every idle monitored queue would count as congested
+            raise SimConfigError("cc_theta_bytes must be >= 0")
         if self.buffer() < self.chunk_quantum_bytes:
             # no pool could ever take a full chunk
             raise SimConfigError(
@@ -131,38 +134,58 @@ class Chunk:
 
 
 class Port:
-    """Runtime state of one directed link: queues + per-VC credit pools.
+    """Runtime state of one directed link.
 
-    ``rate`` caches the overlay's effective bandwidth of the link, 0.0 while
-    the link is unusable, as of overlay generation ``rate_gen``.
+    Every port has:
+
+    - ``id``, its port id, and ``link_id``, its link's id;
+    - ``state``, its ``qos.PortState``;
+    - ``committed``, the bytes reserved in each VC's credit pool, and
+      ``occ``, their sum;
+    - ``busy``, the chunk on the wire, if any;
+    - ``waiters``, the ports and injectors refused credit here, in wait
+      order, and ``wake_at``, the time of its pending rate-cap wake;
+    - ``delay``, the link's propagation delay;
+    - ``groups``, the two groups a global link joins, None on other links;
+    - ``rate``, the overlay's effective bandwidth of the link (0.0 while
+      it is unusable) as of overlay generation ``rate_gen``;
+    - ``is_edge_in``: the switch-to-NIC direction of an edge link, the
+      queues congestion management watches.
+
+    Only such a monitored port has the congestion state: ``detected``,
+    ``above_since`` and ``below_since`` (-1.0 when unset), ``contributors``
+    (source endpoint -> last time it fed the queue) and ``throttled`` (the
+    sources throttled on its account).
     """
 
     __slots__ = (
-        "id", "link", "link_id", "state", "committed", "occ", "busy",
-        "waiters", "wake_at", "is_edge_in", "contributors", "detected",
-        "above_since", "below_since", "throttled", "delay", "rate",
-        "rate_gen",
+        "id", "link_id", "state", "committed", "occ", "busy", "waiters",
+        "wake_at", "delay", "groups", "rate", "rate_gen", "is_edge_in",
+        "detected", "above_since", "below_since", "contributors",
+        "throttled",
     )
 
-    def __init__(self, pid: int, link, state: PortState, delay: float):
+    def __init__(self, pid: int, state: PortState, delay: float,
+                 groups: tuple[int, int] | None, is_edge_in: bool):
         self.id = pid
-        self.link = link
-        self.link_id = link.id
+        self.link_id = port_key(pid)[0]
         self.state = state
         self.committed = [0] * MAX_VC
         self.occ = 0
         self.busy: Chunk | None = None
         self.waiters: dict = {}  # Port or Injector -> None, in wait order
-        self.wake_at = float("inf")
-        self.is_edge_in = link.kind == EDGE and port_key(pid)[1] == 1
-        self.delay = delay  # propagation delay of the link
+        self.wake_at = INF
+        self.delay = delay
+        self.groups = groups
         self.rate = 0.0
         self.rate_gen = -1
-        self.contributors: dict[int, float] = {}
-        self.detected = False
-        self.above_since = -1.0
-        self.below_since = -1.0
-        self.throttled: set[int] = set()
+        self.is_edge_in = is_edge_in
+        if is_edge_in:
+            self.detected = False
+            self.above_since = -1.0
+            self.below_since = -1.0
+            self.contributors: dict[int, float] = {}
+            self.throttled: set[int] = set()
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,7 +218,7 @@ class Injector:
         self.retries: list[Chunk] = []
         # egress edge link -> bucket at that link's fair share
         self.throttles: dict[int, TokenBucket] = {}
-        self.wake_at = float("inf")
+        self.wake_at = INF
 
 
 # event kinds
@@ -270,7 +293,7 @@ class Engine:
         (drawn uniformly from 3..5 s when omitted)."""
         if not 0 <= link < len(self.topo.links):
             raise SimConfigError(f"unknown link {link}")
-        if not 0 <= t_down < float("inf"):
+        if not 0 <= t_down < INF:
             raise SimConfigError(
                 f"fault time must be finite and >= 0, got {t_down}")
         if duration is None:
@@ -323,7 +346,7 @@ class Engine:
         self._rank_phase = [0] * n
         self._advance_phases(range(n))  # past phases with nothing to wait for
         self.unresolved = len(self.messages)
-        if self.messages and self.config.duration_s <= 0:
+        if self.messages and not self.config.duration_s > 0:
             raise SimConfigError("duration_s must be > 0 for a nonempty workload")
 
     # -- event plumbing -----------------------------------------------------------
@@ -338,11 +361,18 @@ class Engine:
         return port
 
     def _new_port(self, pid: int) -> Port:
-        link = self.topo.links[port_key(pid)[0]]
-        spec = self.topo.spec
-        delay = spec.endpoint_latency if link.kind == EDGE \
-            else spec.per_hop_latency
-        port = self.ports[pid] = Port(pid, link, PortState(self.profile), delay)
+        topo = self.topo
+        link_id, direction = port_key(pid)
+        edge = link_id < topo.total_endpoints
+        if edge:
+            delay, groups = topo.spec.endpoint_latency, None
+        else:
+            a, b = topo.links.switches(link_id)
+            ga, gb = topo.group_of_switch(a), topo.group_of_switch(b)
+            delay = topo.spec.per_hop_latency
+            groups = (ga, gb) if ga != gb else None
+        port = self.ports[pid] = Port(pid, PortState(self.profile), delay,
+                                      groups, edge and direction == 1)
         if port.is_edge_in:
             self.monitored[pid] = port
         return port
@@ -388,7 +418,6 @@ class Engine:
         pop = heapq.heappop
         end = cfg.duration_s
         on_txdone, on_arrive = self._on_txdone, self._on_arrive
-        inf = float("inf")
         while heap:
             t, _seq, kind, payload = pop(heap)
             if t > end:
@@ -400,11 +429,11 @@ class Engine:
             elif kind == K_ARRIVE:
                 on_arrive(payload)
             elif kind == K_WAKEPORT:
-                payload.wake_at = inf
+                payload.wake_at = INF
                 if payload.busy is None:
                     self._kick_port(payload)
             elif kind == K_WAKEINJ:
-                payload.wake_at = inf
+                payload.wake_at = INF
                 self._run_injector(payload)
             elif kind == K_TICK:
                 self._on_tick()
@@ -836,16 +865,20 @@ class Engine:
         self._check_done()
 
     def _flush_port(self, port: Port) -> None:
+        """Lose every chunk queued on ``port``, lane by lane and VC by VC,
+        and zero the deficit of each lane left empty."""
         state = port.state
-        for c, vc in sorted(state.queues):
-            q = state.queues[(c, vc)]
-            while q:
-                chunk = q.popleft()
-                state.queued_bytes[c] -= chunk.length
-                self._lose_chunk(chunk, chunk.hop, port.link_id)
-        for c in state.profile.order:
-            if state.queued_bytes[c] == 0:
-                state.deficit[c] = 0.0
+        # a lost chunk may release new ones onto this port: the lane and
+        # queue tuples iterated here are the ones of the flush's start
+        for lane in state.lanes:
+            for q in lane.queues:
+                while q:
+                    chunk = q.pop(0)
+                    lane.queued -= chunk.length
+                    self._lose_chunk(chunk, chunk.hop, port.link_id)
+        for lane in state.lanes:
+            if not lane.queued:
+                lane.deficit = 0.0
         self._wake_waiters(port)
 
     # -- congestion management -------------------------------------------------------
@@ -862,9 +895,8 @@ class Engine:
             if port.occ <= 0:
                 continue
             occ[port.id] = float(port.occ)
-            if port.link.kind == GLOBAL:
-                for sw in (port.link.switch_a, port.link.switch_b):
-                    g = self.topo.group_of_switch(sw)
+            if port.groups is not None:
+                for g in port.groups:
                     group_load[g] = group_load.get(g, 0.0) + port.occ
         self.view = CongestionView(self.now, occ, group_load)
 

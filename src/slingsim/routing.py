@@ -24,6 +24,7 @@ between sweeps keeps its pre-flap routability until the next sweep.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import repeat
@@ -64,8 +65,8 @@ class RoutingPolicy:
     def validate(self) -> None:
         if self.mode not in ("minimal", "adaptive"):
             raise RoutingError(f"unknown routing mode {self.mode!r}")
-        if self.nonminimal_bias <= 0:
-            raise RoutingError("nonminimal_bias must be > 0")
+        if not 0 < self.nonminimal_bias < math.inf:
+            raise RoutingError("nonminimal_bias must be finite and > 0")
         if self.intermediate_samples < 1:
             raise RoutingError("intermediate_samples must be >= 1")
 
@@ -157,10 +158,10 @@ class FlowTable:
 
 def _hop(topo: Topology, link_id: int, from_switch: int) -> tuple[int, int]:
     """(port, to_switch) for traveling link_id out of from_switch."""
-    link = topo.links[link_id]
-    if link.switch_a == from_switch:
-        return port_id(link_id, 0), link.switch_b
-    return port_id(link_id, 1), link.switch_a
+    a, b = topo.links.switches(link_id)
+    if a == from_switch:
+        return port_id(link_id, 0), b
+    return port_id(link_id, 1), a
 
 
 def _first_usable_local(topo: Topology, view, sa: int, sb: int) -> int | None:

@@ -39,6 +39,7 @@ from operator import index as as_index
 from typing import Mapping
 
 import json
+import math
 
 SWITCH_RADIX = 64  # ports per switch; hard limit of the modeled hardware
 
@@ -93,10 +94,11 @@ class TopologySpec:
             raise TopologyError("switches_per_group must be >= 1")
         if not 1 <= self.lanes_per_link <= 4:
             raise TopologyError("lanes_per_link must be in 1..4")
-        if self.link_bw_per_dir <= 0:
-            raise TopologyError("link_bw_per_dir must be > 0")
-        if self.per_hop_latency < 0 or self.endpoint_latency < 0:
-            raise TopologyError("latencies must be >= 0")
+        if not 0 < self.link_bw_per_dir < math.inf:
+            raise TopologyError("link_bw_per_dir must be finite and > 0")
+        for name in ("per_hop_latency", "endpoint_latency"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise TopologyError(f"{name} must be finite and >= 0")
 
     @property
     def endpoints_per_switch(self) -> int:
@@ -202,6 +204,23 @@ class LinkTable(Sequence[Link]):
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
+
+    def switches(self, lid: int) -> tuple[int, int]:
+        """``(switch_a, switch_b)`` of link ``lid`` without building its
+        :class:`Link`; an edge link gives its switch twice.  ``IndexError``
+        outside ``[0, len)``."""
+        if lid < 0:
+            raise IndexError(f"link id {lid} out of range")
+        if lid >= self._first_global:
+            link = self._globals[lid - self._first_global]
+            return link.switch_a, link.switch_b
+        if lid < self._first_local:
+            sw = lid // self._eps
+            return sw, sw
+        g, rank = divmod(lid - self._first_local, self._per_group)
+        i, j = self._pairs[rank // self._per_pair]
+        base = g * self._switches_per_group
+        return base + i, base + j
 
     def local_between(self, sa: int, sb: int) -> range:
         """Ids of the local links between switches ``sa`` and ``sb``; empty

@@ -1,4 +1,7 @@
-"""Shared fixtures: small dragonfly configurations reused across suites."""
+"""Shared fixtures: small dragonfly configurations reused across suites,
+and the memory probe of the memory guards."""
+
+import tracemalloc
 
 import pytest
 
@@ -38,3 +41,16 @@ def small_topo():
 @pytest.fixture(scope="session")
 def bench_topo():
     return build_topology(bench_spec())
+
+
+def retained_bytes(f):
+    """Call ``f()`` under tracemalloc; return its result and the bytes
+    allocated during the call that are still held when it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = f()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return result, held

@@ -5,10 +5,10 @@ In the permutation, every chunk of a 16 KiB message is routed before the
 first congestion tick (2 us), so every decision sees the idle view.  There
 the minimal route reaches the detour floor, so route selection must never
 enumerate a detour set: 256 ranks draw thousands of them without the floor.
+The permutation also bounds the memory a run keeps per port it touched.
 """
 
 import random
-import tracemalloc
 
 from slingsim import routing
 from slingsim.engine import Engine, SimConfig
@@ -16,6 +16,7 @@ from slingsim.qos import default_profile
 from slingsim.routing import Router, RoutingPolicy
 from slingsim.topology import StateOverlay, aurora_spec, build_topology
 
+from conftest import retained_bytes
 from test_engine_digest import KIB, Phase, Placement, Schedule, derangement, \
     run_loaded
 
@@ -26,14 +27,15 @@ RANKS = 256
 # their per-group-pair index (about 8 MB); every link stored would be ~47 MB
 TOPOLOGY_BYTES = 12e6
 
+# bytes the sparse permutation may keep per port it made, all the run's
+# other state (messages, routes, report) included: a port with one lane,
+# one VC queue and its credit pools takes about 1.5 KB; per-class dicts,
+# a cap bucket and deques in every port took about 3.9 KB
+PORT_BYTES = 1600
+
 
 def test_aurora_topology_stores_only_global_links():
-    tracemalloc.start()
-    try:
-        topo = build_topology(aurora_spec())
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    topo, held = retained_bytes(lambda: build_topology(aurora_spec()))
     assert held <= TOPOLOGY_BYTES
     assert len(topo.links) == 207_450
 
@@ -50,6 +52,18 @@ def sparse_permutation(spec, ranks: int, size: int, seed: int):
     return Placement(ranks, tuple(endpoints)), Schedule((Phase(msgs),))
 
 
+def sparse_run():
+    """A CC-off engine on the full Aurora fabric, and the 16 KiB sparse
+    permutation of ``RANKS`` ranks for it."""
+    spec = aurora_spec()
+    topo = build_topology(spec)
+    overlay = StateOverlay(topo)
+    router = Router(topo, overlay, RoutingPolicy(), seed=1)
+    engine = Engine(topo, overlay, router, default_profile(),
+                    SimConfig(seed=1, cc_enabled=False))
+    return engine, sparse_permutation(spec, RANKS, 16 * KIB, 1)
+
+
 def test_idle_sparse_permutation_enumerates_no_detour(monkeypatch):
     enumerated = 0
     real = routing.enumerate_nonminimal_routes
@@ -60,13 +74,15 @@ def test_idle_sparse_permutation_enumerates_no_detour(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(routing, "enumerate_nonminimal_routes", counted)
-    spec = aurora_spec()
-    topo = build_topology(spec)
-    overlay = StateOverlay(topo)
-    router = Router(topo, overlay, RoutingPolicy(), seed=1)
-    engine = Engine(topo, overlay, router, default_profile(),
-                    SimConfig(seed=1, cc_enabled=False))
-    report = run_loaded(engine, sparse_permutation(spec, RANKS, 16 * KIB, 1))
+    engine, workload = sparse_run()
+    report = run_loaded(engine, workload)
     assert report.incomplete_messages == 0 and report.failed_bytes == 0
     assert report.delivered_bytes == RANKS * 16 * KIB
     assert enumerated == 0
+
+
+def test_sparse_run_port_bytes():
+    engine, workload = sparse_run()
+    report, held = retained_bytes(lambda: run_loaded(engine, workload))
+    assert report.delivered_bytes == RANKS * 16 * KIB
+    assert held / len(engine.ports) <= PORT_BYTES, held / len(engine.ports)

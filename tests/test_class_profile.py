@@ -10,7 +10,6 @@ a chunk in flight on the failed link or toward it (both branches of
 """
 
 import sys
-import tracemalloc
 
 import pytest
 
@@ -18,6 +17,7 @@ from slingsim import qos
 from slingsim.engine import Engine
 from slingsim.qos import ClassProfile, PortState, default_profile
 
+from conftest import retained_bytes
 from test_engine_digest import KIB, first_global, first_local, permutation, run
 
 
@@ -38,19 +38,15 @@ def test_ports_share_one_profile(monkeypatch):
 
 
 def test_empty_port_state_is_small():
-    """Per-port state holds only what changes per port; 2,000 B leaves room
-    for its seven small dicts and rules out copies of the profile."""
+    """Per-port state holds only what changes per port, and a port makes a
+    lane only for a class that queues on it: an empty state is one small
+    object, and 400 B rules out per-class dicts and copies of the profile."""
     profile = ClassProfile(default_profile(), 4096, 100e-6)
     n = 5000
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        states = [PortState(profile) for _ in range(n)]
-        per_state = (tracemalloc.get_traced_memory()[0] - before) / n
-    finally:
-        tracemalloc.stop()
+    states, held = retained_bytes(
+        lambda: [PortState(profile) for _ in range(n)])
     assert len(states) == n
-    assert per_state <= 2000, per_state
+    assert held / n <= 400, held / n
 
 
 def first_edge(topo):

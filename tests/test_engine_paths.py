@@ -198,6 +198,21 @@ def test_bad_config_is_rejected(config):
         make_engine(**config)
 
 
+@pytest.mark.parametrize("config", [
+    dict(cc_theta_bytes=-1),
+    dict(duration_s=float("nan")),
+    dict(duration_s=0.0),
+], ids=["negative_cc_theta", "nan_duration", "zero_duration"])
+def test_negative_or_nan_setting_is_rejected(config):
+    """A negative detection threshold makes every idle monitored queue
+    count as congested, and a run whose duration is NaN never ends: the
+    engine rejects both before a nonempty workload runs."""
+    with pytest.raises(SimConfigError):
+        make_engine(**config).load(
+            Placement(2, (0, 17)),
+            Schedule((Phase(((0, 1, 4 * KIB, False),)),)))
+
+
 @pytest.mark.parametrize("t_down", [-1e-3, float("nan"), float("inf")],
                          ids=["negative", "nan", "inf"])
 def test_fault_outside_simulated_time_is_rejected(t_down):

@@ -68,23 +68,48 @@ def credit_gate(refusals: int, calls: list):
     return can_send
 
 
+def bucket(tokens: float, last: float) -> tuple:
+    """A cap bucket's tokens, and its refill time while it is below the
+    burst: a refill leaves a full bucket full, so a full bucket's refill
+    time cannot affect any later decision."""
+    return tokens, last if tokens < QUANTUM else None
+
+
 def class_state(state) -> tuple:
-    """Deficits, budgets, rotor, backlog, window and the rate-cap tokens
-    and refill times of the capped classes.  The live state keeps a bucket
-    per capped class only; the reference keeps a cap entry for every class,
-    and those of uncapped classes must never move."""
+    """Per class in class order: deficit, budget, backlog and, for a capped
+    class, its cap bucket; then the rotor and the window end.
+
+    This is a projection of the live lanes onto the reference's view of
+    every class, not a weaker comparison.  The live state has a lane only
+    for a class that has queued; a class without one reads as the values
+    the reference holds for a class that never queued: a zero deficit and
+    backlog, the budget of the last window roll and a full cap bucket.  The
+    reference keeps a cap entry for every class, and those of uncapped
+    classes must never move."""
+    rows = []
     if isinstance(state, ref.PortState):
-        caps = {}
         for c in state.order:
             if state.cap_rate_frac[c] is None:
                 assert (state.cap_tokens[c], state.cap_last[c]) == \
                     (QUANTUM, 0.0)
+                cap = None
             else:
-                caps[c] = (state.cap_tokens[c], state.cap_last[c])
+                cap = bucket(state.cap_tokens[c], state.cap_last[c])
+            rows.append((c, state.deficit[c], state.budget[c],
+                         state.queued_bytes[c], cap))
     else:
-        caps = {c: (b.tokens, b.last) for c, b in state.caps.items()}
-    return (state.deficit, state.budget, caps, state.rr, state.queued_bytes,
-            state.window_end)
+        profile = state.profile
+        for c in profile.order:
+            lane = state.lane(c)
+            if lane is None:
+                budget = (profile.configs[c].min_bw_fraction
+                          * state.window_rate * profile.window)
+                cap = (QUANTUM, None) if c in profile.capped else None
+                rows.append((c, 0.0, budget, 0, cap))
+            else:
+                cap = lane.cap and bucket(lane.cap.tokens, lane.cap.last)
+                rows.append((c, lane.deficit, lane.budget, lane.queued, cap))
+    return tuple(rows), state.rr, state.window_end
 
 
 # all four classes, or one alone
@@ -149,11 +174,11 @@ def test_one_class_port_walks_the_rotor_when_its_deficit_runs_out():
         chunk = Chunk(n, QUANTUM)
         live.enqueue(chunk, qos.BEST_EFFORT, n % 2)
         frozen.enqueue(chunk, qos.BEST_EFFORT, n % 2)
-    assert live.solo == qos.BEST_EFFORT
+    assert live.solo is live.lane(qos.BEST_EFFORT)
     refills = 0
     for n in range(30):
         now = n * QUANTUM / RATE
-        before = live.deficit[qos.BEST_EFFORT]
+        before = live.solo.deficit
         got = qos.arbitrate(live, now, RATE, lambda chunk: True)
         want = ref.arbitrate(frozen, now, RATE, lambda chunk: True)
         assert got[0] is want[0] is not None and got[1] is want[1] is None
@@ -162,3 +187,38 @@ def test_one_class_port_walks_the_rotor_when_its_deficit_runs_out():
     assert refills == 2
     live.enqueue(Chunk(30, QUANTUM), qos.ETHERNET, 0)
     assert live.solo is None
+
+
+def test_lanes_exist_only_for_queued_classes(monkeypatch):
+    """A class gets a lane at its first enqueue on a port, lanes keep class
+    order and their queues VC order, and only the capped class's lane has a
+    cap bucket.  Until a capped class queues, arbitration refills none."""
+    refills = []
+    refill = qos.TokenBucket.refill
+
+    def counted(self, *args):
+        refills.append(self)
+        return refill(self, *args)
+
+    monkeypatch.setattr(qos.TokenBucket, "refill", counted)
+    state = qos.PortState(qos.ClassProfile(default_profile(), QUANTUM, WINDOW))
+    assert state.lanes == () and state.solo is None and state.backlog() == 0
+    state.enqueue(Chunk(0, QUANTUM), qos.BEST_EFFORT, 2)
+    state.enqueue(Chunk(1, QUANTUM), qos.BEST_EFFORT, 0)
+    (lane,) = state.lanes
+    assert state.solo is lane and lane.class_id == qos.BEST_EFFORT
+    assert lane.vcs == (0, 2) and [q[0].id for q in lane.queues] == [1, 0]
+    assert lane.cap is None
+    for n in range(3):
+        qos.arbitrate(state, n * 1e-6, RATE)
+    assert refills == []
+
+    state.enqueue(Chunk(2, QUANTUM), qos.ETHERNET, 1)
+    state.enqueue(Chunk(3, QUANTUM), qos.LOW_LATENCY, 1)
+    assert [lane.class_id for lane in state.lanes] == \
+        [qos.LOW_LATENCY, qos.BEST_EFFORT, qos.ETHERNET]
+    assert [lane.cap is not None for lane in state.lanes] == \
+        [False, False, True]
+    assert state.solo is None and state.lane(qos.BULK_DATA) is None
+    qos.arbitrate(state, 4e-6, RATE)
+    assert set(refills) == {state.lane(qos.ETHERNET).cap}

@@ -102,7 +102,7 @@ def test_capped_class_never_exceeds_its_window_bound(lengths, best_effort,
         state.enqueue(Chunk(-1, QUANTUM), BEST_EFFORT, 0)
     starts = []  # (service start, bytes) of each Ethernet chunk
     now = t0
-    while state.queued_bytes[ETHERNET]:
+    while state.lane(ETHERNET).queued:
         chunk, wake = arbitrate(state, now, rate)
         if chunk is None:
             assert wake is not None and wake > now

@@ -8,6 +8,7 @@ so indexing bugs in either side cannot cancel out.
 """
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -549,6 +550,16 @@ def test_idle_fabric_can_prefer_a_detour(small_topo):
                                ep_on_switch(small_topo, dst), 0, False)
     assert pick.intermediate_group is not None
     assert pick == exhaustive_pick(small_topo, router.tables, {}, src, dst, 0.5)
+
+
+@pytest.mark.parametrize("bias", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_policy_rejects_bad_bias(small_topo, bias):
+    """The detour floor is 3 x ``nonminimal_bias``: NaN compares false with
+    every cost and an infinite floor makes every detour cost the same."""
+    with pytest.raises(RoutingError, match="nonminimal_bias"):
+        Router(small_topo, StateOverlay(small_topo),
+               RoutingPolicy(nonminimal_bias=bias), seed=1)
 
 
 def test_view_rejects_negative_entries():

@@ -184,6 +184,7 @@ def test_link_table_matches_reference(spec):
         for got in (links[lid], links[lid - n]):
             assert [getattr(got, f) for f in names] \
                 == [getattr(want, f) for f in names], lid
+        assert links.switches(lid) == (want.switch_a, want.switch_b), lid
     assert tuple(links) == ref.links
     for cut in (slice(None), slice(3, -2, 3), slice(None, None, -1),
                 slice(topo.total_endpoints, None), slice(n, n + 5)):
@@ -191,6 +192,9 @@ def test_link_table_matches_reference(spec):
     for bad in (n, -n - 1):
         with pytest.raises(IndexError):
             links[bad]
+    for bad in (n, -1):
+        with pytest.raises(IndexError):
+            links.switches(bad)
     assert links == build_topology(spec).links
     assert topo.global_links == ref.global_links
 
@@ -368,6 +372,19 @@ def test_spec_validation():
         TopologySpec(link_bw_per_dir=0).validate()
     with pytest.raises(TopologyError):
         TopologySpec(switches_per_group=0).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("link_bw_per_dir", math.nan), ("link_bw_per_dir", math.inf),
+    ("per_hop_latency", math.nan), ("per_hop_latency", math.inf),
+    ("endpoint_latency", math.nan), ("endpoint_latency", -1e-9),
+], ids=["bw_nan", "bw_inf", "hop_nan", "hop_inf", "endpoint_nan",
+        "endpoint_negative"])
+def test_spec_rejects_non_finite_or_negative(field, value):
+    """Comparisons with NaN are all false, so each bound is checked in the
+    form that NaN fails."""
+    with pytest.raises(TopologyError, match=field):
+        build_topology(small_spec(**{field: value}))
 
 
 def test_port_ids_are_dense_and_invertible(small_topo):
