@@ -12,7 +12,6 @@ from slingsim.topology import (
     build_topology,
     endpoint_address,
     endpoint_at_address,
-    load_spec,
     topology_metrics,
 )
 

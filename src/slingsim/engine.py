@@ -14,12 +14,14 @@ Directed ports are identified by the integer port id of
 endpoint->switch).  Routes, chunk paths, the congestion view,
 ``Engine.ports``, ``active_ports`` and ``monitored`` all use these ids.
 
-Congestion management watches the switch-side queues of NIC delivery links.
-A queue that stays above the detection threshold for the dwell time marks
-the link congested; the sources seen feeding it during the dwell window are
-its contributors and get injection-throttled (one ``qos.TokenBucket`` per
-source and link) to an equal split of the link rate, with hysteresis on
-release.  Traffic to other destinations is never throttled.
+Congestion management, when ``SimConfig.cc_enabled`` is set, watches the
+switch-side queues of NIC delivery links; with it off, no port carries
+congestion state.  A queue that stays above the detection threshold for the
+dwell time marks the link congested; the sources seen feeding it during the
+dwell window are its contributors and get injection-throttled (one
+``qos.TokenBucket`` per source and link) to an equal split of the link rate,
+with hysteresis on release.  Traffic to other destinations is never
+throttled.
 
 Link faults flush and invalidate in-flight chunks; each lost chunk retries
 from its source after the retry timeout and counts one network timeout.  A
@@ -144,15 +146,17 @@ class Port:
       ``occ``, their sum;
     - ``busy``, the chunk on the wire, if any;
     - ``waiters``, the ports and injectors refused credit here, in wait
-      order, and ``wake_at``, the time of its pending rate-cap wake;
+      order (None until the port first refuses credit, and again once they
+      are woken), and ``wake_at``, the time of its pending rate-cap wake;
     - ``delay``, the link's propagation delay;
     - ``groups``, the two groups a global link joins, None on other links;
     - ``rate``, the overlay's effective bandwidth of the link (0.0 while
       it is unusable) as of overlay generation ``rate_gen``;
-    - ``is_edge_in``: the switch-to-NIC direction of an edge link, the
-      queues congestion management watches.
+    - ``monitored``: whether congestion management watches the port, which
+      it does for the switch-to-NIC direction of an edge link in a run with
+      ``SimConfig.cc_enabled`` set.
 
-    Only such a monitored port has the congestion state: ``detected``,
+    Only a monitored port has the congestion state: ``detected``,
     ``above_since`` and ``below_since`` (-1.0 when unset), ``contributors``
     (source endpoint -> last time it fed the queue) and ``throttled`` (the
     sources throttled on its account).
@@ -160,46 +164,32 @@ class Port:
 
     __slots__ = (
         "id", "link_id", "state", "committed", "occ", "busy", "waiters",
-        "wake_at", "delay", "groups", "rate", "rate_gen", "is_edge_in",
+        "wake_at", "delay", "groups", "rate", "rate_gen", "monitored",
         "detected", "above_since", "below_since", "contributors",
         "throttled",
     )
 
     def __init__(self, pid: int, state: PortState, delay: float,
-                 groups: tuple[int, int] | None, is_edge_in: bool):
+                 groups: tuple[int, int] | None, monitored: bool):
         self.id = pid
         self.link_id = port_key(pid)[0]
         self.state = state
         self.committed = [0] * MAX_VC
         self.occ = 0
         self.busy: Chunk | None = None
-        self.waiters: dict = {}  # Port or Injector -> None, in wait order
+        self.waiters: dict | None = None  # Port or Injector -> None
         self.wake_at = INF
         self.delay = delay
         self.groups = groups
         self.rate = 0.0
         self.rate_gen = -1
-        self.is_edge_in = is_edge_in
-        if is_edge_in:
+        self.monitored = monitored
+        if monitored:
             self.detected = False
             self.above_since = -1.0
             self.below_since = -1.0
             self.contributors: dict[int, float] = {}
             self.throttled: set[int] = set()
-
-
-@dataclass(frozen=True, slots=True)
-class CongestionEntry:
-    link: int
-    detected: bool
-    contributors: frozenset[int]
-    fair_share_rate: float
-
-
-@dataclass(frozen=True, slots=True)
-class CongestionState:
-    time: float
-    entries: tuple[CongestionEntry, ...]
 
 
 class Injector:
@@ -371,9 +361,10 @@ class Engine:
             ga, gb = topo.group_of_switch(a), topo.group_of_switch(b)
             delay = topo.spec.per_hop_latency
             groups = (ga, gb) if ga != gb else None
-        port = self.ports[pid] = Port(pid, PortState(self.profile), delay,
-                                      groups, edge and direction == 1)
-        if port.is_edge_in:
+        port = self.ports[pid] = Port(
+            pid, PortState(self.profile), delay, groups,
+            edge and direction == 1 and self.config.cc_enabled)
+        if port.monitored:
             self.monitored[pid] = port
         return port
 
@@ -586,7 +577,7 @@ class Engine:
                 t = self._throttle_wait(inj, cand.msg, cand.length)
                 if t is None:
                     if out.committed[0] + cand.length > buffer:
-                        out.waiters[inj] = None
+                        self._wait_on(out, inj)
                         break
                     chunk = inj.retries.pop(0)
                 else:
@@ -629,7 +620,7 @@ class Engine:
                 earliest = t if earliest is None else min(earliest, t)
                 continue
             if out.committed[0] + length > buffer:
-                out.waiters[inj] = None
+                self._wait_on(out, inj)
                 return None
             inj.rr = (inj.rr + i) % n
             return msg
@@ -683,7 +674,7 @@ class Engine:
             self._start_tx(port, chunk, rate)
             return
         for q in blocked:
-            q.waiters[port] = None
+            self._wait_on(q, port)
         blocked.clear()
         if wake is not None and wake < port.wake_at:
             port.wake_at = wake
@@ -739,11 +730,18 @@ class Engine:
                                         next(self._seq), K_ARRIVE, chunk))
         self._kick_port(port)
 
+    @staticmethod
+    def _wait_on(port: Port, waiter) -> None:
+        """Queue ``waiter`` (a Port or an Injector) for ``port``'s credit."""
+        if port.waiters is None:
+            port.waiters = {}
+        port.waiters[waiter] = None
+
     def _wake_waiters(self, port: Port) -> None:
-        if not port.waiters:
+        waiters = port.waiters
+        if not waiters:
             return
-        waiters = list(port.waiters)
-        port.waiters.clear()
+        port.waiters = None
         heap, seq, now = self._heap, self._seq, self.now
         for w in waiters:
             if isinstance(w, Injector):
@@ -771,7 +769,7 @@ class Engine:
             return
         port.state.enqueue(chunk, chunk.msg.traffic_class, hop)
         self.active_ports[port.id] = port
-        if port.is_edge_in:
+        if port.monitored:
             port.contributors[chunk.msg.src] = self.now
         if port.busy is None:
             self._kick_port(port)
@@ -898,12 +896,12 @@ class Engine:
             if port.groups is not None:
                 for g in port.groups:
                     group_load[g] = group_load.get(g, 0.0) + port.occ
-        self.view = CongestionView(self.now, occ, group_load)
+        self.view = CongestionView(occ, group_load)
 
     def _cc_update(self) -> None:
         theta = self.config.theta()
         tau = self.config.cc_tau_us * 1e-6
-        for key, port in self.monitored.items():
+        for port in self.monitored.values():
             occ = port.occ
             if not port.detected:
                 if occ > theta:
@@ -965,16 +963,6 @@ class Engine:
                 self._push(self.now, K_WAKEINJ, inj)
         port.throttled.clear()
         port.contributors.clear()
-
-    def congestion_state(self) -> CongestionState:
-        entries = []
-        for pid in sorted(self.monitored):
-            port = self.monitored[pid]
-            live = frozenset(port.contributors) if port.detected else frozenset()
-            fair = self.overlay.effective_bandwidth(port.link_id) \
-                / max(1, len(live))
-            entries.append(CongestionEntry(port.link_id, port.detected, live, fair))
-        return CongestionState(self.now, tuple(entries))
 
     # -- series & report ------------------------------------------------------------------
 

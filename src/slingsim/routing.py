@@ -83,12 +83,10 @@ class CongestionView:
             selection's detour floor relies on every cost being >= 0.
     """
 
-    __slots__ = ("time", "_occ", "_group_load")
+    __slots__ = ("_occ", "_group_load")
 
-    def __init__(self, time: float = 0.0,
-                 occ: dict[int, float] | None = None,
+    def __init__(self, occ: dict[int, float] | None = None,
                  group_load: dict[int, float] | None = None):
-        self.time = time
         self._occ = occ or {}
         self._group_load = group_load or {}
         if min(self._occ.values(), default=0.0) < 0 \
@@ -100,13 +98,6 @@ class CongestionView:
 
     def route_max_occupancy(self, route: Route) -> float:
         return max(map(self._occ.get, route.ports, _ZEROS), default=0.0)
-
-    def scaled(self, factor: float) -> "CongestionView":
-        return CongestionView(
-            self.time,
-            {k: v * factor for k, v in self._occ.items()},
-            {k: v * factor for k, v in self._group_load.items()},
-        )
 
 
 class FlowTable:

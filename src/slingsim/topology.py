@@ -34,11 +34,10 @@ the global links, whose round-robin wiring has no closed form, are stored
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import index as as_index
 from typing import Mapping
 
-import json
 import math
 
 SWITCH_RADIX = 64  # ports per switch; hard limit of the modeled hardware
@@ -103,10 +102,6 @@ class TopologySpec:
     @property
     def endpoints_per_switch(self) -> int:
         return self.nodes_per_switch * self.nics_per_node
-
-    @property
-    def group_count(self) -> int:
-        return self.compute_groups + self.storage_groups + self.service_groups
 
 
 def aurora_spec() -> TopologySpec:
@@ -300,9 +295,6 @@ class Topology:
 
     def switch_of_endpoint(self, endpoint: int) -> int:
         return self.switch_of_node(self.node_of_endpoint(endpoint))
-
-    def group_of_endpoint(self, endpoint: int) -> int:
-        return self.group_of_switch(self.switch_of_endpoint(endpoint))
 
     def nic_of_endpoint(self, endpoint: int) -> int:
         return endpoint % self.spec.nics_per_node
@@ -568,77 +560,3 @@ def topology_metrics(topo: Topology) -> TopologyMetrics:
         bisection_bw=bisection_bw,
     )
 
-
-# -- spec files ---------------------------------------------------------------
-
-SPEC_FILE_KEYS = (
-    "compute_groups", "storage_groups", "service_groups",
-    "switches_per_group", "nodes_per_switch", "nics_per_node",
-    "local_links_per_switch_pair", "global_links_per_compute_pair",
-    "global_links_compute_to_noncompute", "global_links_per_storage_pair",
-    "link_bw_gbytes_per_s", "lanes_per_link", "per_hop_latency_ns",
-    "endpoint_latency_ns",
-)
-
-_INT_KEYS = set(SPEC_FILE_KEYS) - {
-    "link_bw_gbytes_per_s", "per_hop_latency_ns", "endpoint_latency_ns"}
-
-
-def spec_from_mapping(data: Mapping[str, object]) -> TopologySpec:
-    """Build a TopologySpec from spec-file keys; unlisted keys keep the
-    Aurora defaults."""
-    fields: dict[str, object] = {}
-    for key, raw in data.items():
-        if key not in SPEC_FILE_KEYS:
-            raise TopologyError(f"unknown topology spec key {key!r}")
-        try:
-            val = int(raw) if key in _INT_KEYS else float(raw)
-        except (TypeError, ValueError):
-            raise TopologyError(f"bad value for key {key!r}: {raw!r}") from None
-        if key == "link_bw_gbytes_per_s":
-            fields["link_bw_per_dir"] = val * 1e9
-        elif key == "per_hop_latency_ns":
-            fields["per_hop_latency"] = val * 1e-9
-        elif key == "endpoint_latency_ns":
-            fields["endpoint_latency"] = val * 1e-9
-        else:
-            fields[key] = val
-    spec = replace(aurora_spec(), **fields)  # type: ignore[arg-type]
-    spec.validate()
-    return spec
-
-
-def load_spec(source: str) -> TopologySpec:
-    """Load a spec by reserved name ('aurora') or from a spec file.
-
-    Files may be a JSON object or plain ``key = value`` / ``key: value``
-    lines with ``#`` comments.
-    """
-    if source == "aurora":
-        return aurora_spec()
-    with open(source, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_spec_text(text)
-
-
-def parse_spec_text(text: str) -> TopologySpec:
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise TopologyError(f"bad JSON topology spec: {exc}") from None
-        return spec_from_mapping(data)
-    data: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for sep in ("=", ":"):
-            if sep in line:
-                key, _, val = line.partition(sep)
-                data[key.strip()] = val.strip()
-                break
-        else:
-            raise TopologyError(f"unparseable spec line {lineno}: {line!r}")
-    return spec_from_mapping(data)

@@ -29,9 +29,10 @@ TOPOLOGY_BYTES = 12e6
 
 # bytes the sparse permutation may keep per port it made, all the run's
 # other state (messages, routes, report) included: a port with one lane,
-# one VC queue and its credit pools takes about 1.5 KB; per-class dicts,
-# a cap bucket and deques in every port took about 3.9 KB
-PORT_BYTES = 1600
+# one VC queue and its credit pools takes about 1.36 KB in this CC-off run;
+# a waiter dict on every port and congestion state on every edge-in port
+# would take about 1.53 KB
+PORT_BYTES = 1450
 
 
 def test_aurora_topology_stores_only_global_links():

@@ -110,7 +110,8 @@ def run(workload, cc: bool = True, mode: str = "adaptive", flaps=(),
 
 def run_loaded(engine: Engine, workload):
     """Load ``workload`` into ``engine`` and run it within the host-time
-    budget; bytes must balance and every credit pool must drain."""
+    budget; bytes must balance, every credit pool must drain and no port
+    may still hold a waiter."""
     engine.load(*workload)
     previous = signal.signal(signal.SIGALRM, _out_of_time)
     signal.setitimer(signal.ITIMER_REAL, RUN_BUDGET_S)
@@ -122,6 +123,7 @@ def run_loaded(engine: Engine, workload):
     assert report.injected_bytes == report.delivered_bytes + report.failed_bytes
     for key, port in engine.ports.items():
         assert not any(port.committed) and port.occ == 0, key
+        assert not port.waiters, key
     return report
 
 
@@ -168,8 +170,17 @@ def test_incast_with_background_cc():
     assert report.digest == \
         "80d3afb39f8cafcd0d55ab64217f610278f24fad0e4284b51508fa922302874d"
     assert report.incomplete_messages == 0
-    detected = [e.link for e in engine.congestion_state().entries if e.detected]
+    detected = [p.link_id for p in engine.monitored.values() if p.detected]
     assert len(detected) == 2
+
+
+def test_incast_with_background_cc_off_monitors_nothing():
+    """With congestion management off no port is monitored, so none
+    carries congestion state."""
+    engine, report = run(incast_with_background(128, 16 * KIB, 1), cc=False)
+    assert report.incomplete_messages == 0
+    assert engine.ports and not engine.monitored
+    assert not any(hasattr(p, "contributors") for p in engine.ports.values())
 
 
 def test_permutation_with_flaps():

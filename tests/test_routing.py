@@ -275,7 +275,7 @@ def test_dead_link_routable_until_sweep(bench_topo):
     over_ports = {p for r in over for p in r.ports}
     busy = {p: 1e6 for r in around for p in r.ports if p not in over_ports}
     assert all(set(r.ports) & set(busy) for r in around)
-    views = (CongestionView(0.0, busy), CongestionView())
+    views = (CongestionView(busy), CongestionView())
 
     overlay.set_link_state(dead, status="down")
     assert router.tables.link_usable(dead)
@@ -323,7 +323,7 @@ def test_saturated_minimal_detours(small_topo):
     for r in router.tables.minimal_routes(src_sw, dst_sw):
         for port in r.ports:
             occ[port] = 10_000_000.0
-    view = CongestionView(0.0, occ)
+    view = CongestionView(occ)
     r = router.select_route(src, dst, 0, ordered=False, view=view)
     assert r.intermediate_group is not None
 
@@ -340,7 +340,7 @@ def test_group_load_prefers_lightly_loaded(small_topo):
         for port in r.ports:
             occ[port] = 10_000_000.0
     # sampling pool is groups {2, 3}; load group 2 heavily
-    view = CongestionView(0.0, occ, group_load={2: 5e6, 3: 1.0})
+    view = CongestionView(occ, group_load={2: 5e6, 3: 1.0})
     for _ in range(8):
         r = router.select_route(src, dst, 0, ordered=False, view=view)
         assert r.intermediate_group == 3
@@ -429,12 +429,13 @@ def test_argmin_scale_invariance(small_topo):
         for l in small_topo.fabric_link_ids():
             if rng.random() < 0.4:
                 occ[port_id(l, rng.randrange(2))] = float(rng.randrange(0, 50_000))
-        view = CongestionView(0.0, occ)
+        view = CongestionView(occ)
         state = router.rng.getstate()
         pick = router.select_route(src, dst, 0, False, view=view)
         for factor in (0.5, 3.0, 1000.0):
             router.rng.setstate(state)
-            again = router.select_route(src, dst, 0, False, view=view.scaled(factor))
+            scaled = CongestionView({p: v * factor for p, v in occ.items()})
+            again = router.select_route(src, dst, 0, False, view=scaled)
             assert again == pick, (trial, factor)
         router.rng.setstate(state)
         steered += router.select_route(src, dst, 0, False) != pick
@@ -498,7 +499,7 @@ def check_exhaustive_minimum(topo, bias, seed, per_view, monkeypatch):
         busy = rng.choice((0.0, 0.05, 0.3))
         occ = {p: float(rng.choice((4096, 8192, 65536)))
                for p in ports if rng.random() < busy}
-        view = CongestionView(0.0, occ)
+        view = CongestionView(occ)
         for k in range(per_view):
             src, dst = pairs[k % len(pairs)]
             src_sw = topo.switch_of_endpoint(src)
@@ -564,13 +565,18 @@ def test_policy_rejects_bad_bias(small_topo, bias):
 
 def test_view_rejects_negative_entries():
     with pytest.raises(RoutingError):
-        CongestionView(0.0, {3: -1.0})
+        CongestionView({3: -1.0})
     with pytest.raises(RoutingError):
-        CongestionView(0.0, {}, {1: -0.5})
-    view = CongestionView(0.0, {3: 4096.0, 5: 0.0}, {1: 4096.0})
+        CongestionView({}, {1: -0.5})
+    occ, group_load = {3: 4096.0, 5: 0.0}, {1: 4096.0}
+
+    def scaled(factor):
+        return CongestionView({p: v * factor for p, v in occ.items()},
+                              {g: v * factor for g, v in group_load.items()})
+
     with pytest.raises(RoutingError):
-        view.scaled(-1.0)
-    assert view.scaled(0.0).route_max_occupancy(Route((3, 5))) == 0.0
+        scaled(-1.0)
+    assert scaled(0.0).route_max_occupancy(Route((3, 5))) == 0.0
 
 
 def test_select_deterministic_tiebreak(small_topo):

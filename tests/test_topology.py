@@ -25,8 +25,6 @@ from slingsim.topology import (
     build_topology,
     endpoint_address,
     endpoint_at_address,
-    load_spec,
-    parse_spec_text,
     port_id,
     port_key,
     topology_metrics,
@@ -335,34 +333,6 @@ def test_socket_halves():
     for e in topo.endpoints_of_node(0):
         nic = topo.nic_of_endpoint(e)
         assert topo.socket_of_endpoint(e) == (0 if nic < 4 else 1)
-
-
-# -- spec files --------------------------------------------------------------------
-
-def test_spec_text_key_value():
-    spec = parse_spec_text("""
-# one cabinet
-compute_groups = 1
-storage_groups = 0
-service_groups = 0
-""")
-    topo = build_topology(spec)
-    assert topo.total_endpoints == 512
-
-
-def test_spec_text_json():
-    spec = parse_spec_text('{"compute_groups": 2, "storage_groups": 0, "service_groups": 0, "link_bw_gbytes_per_s": 12.5}')
-    assert spec.compute_groups == 2
-    assert spec.link_bw_per_dir == pytest.approx(12.5e9)
-
-
-def test_spec_unknown_key_named():
-    with pytest.raises(TopologyError, match="bogus_key"):
-        parse_spec_text("bogus_key = 3")
-
-
-def test_load_spec_aurora_name():
-    assert load_spec("aurora") == aurora_spec()
 
 
 def test_spec_validation():
