@@ -7,7 +7,8 @@ that sequence is its virtual channel.  Every directed port owns one buffer
 pool per virtual channel: a sender reserves space in the next pool before
 transmitting and releases its own at transmit end, which is credit-based
 flow control with monotonically increasing VC index, so buffer wait cycles
-cannot form.
+cannot form.  A run sets the fields of ``SimConfig``; every other setting
+is a constant of this module.
 
 Directed ports are identified by the integer port id of
 ``topology.port_id`` (direction 0 travels a->b, and on edge links
@@ -28,7 +29,7 @@ from its source after the retry timeout and counts one network timeout.  A
 chunk that finds no route, when it is cut or when it retries, counts a
 timeout and retries the same way, and its message releases no further
 chunks until a chunk of it gets a route again.  A chunk that has retried
-``max_retries`` times, lost or without a route, fails its message.
+``MAX_RETRIES`` times, lost or without a route, fails its message.
 Route choice consults the last routing sweep, so a failed link keeps
 attracting (and bouncing) traffic until the next sweep excludes it.  Every
 chunk of an ordered flow takes the flow's pinned route; a sweep that finds
@@ -38,7 +39,6 @@ it unusable makes the flow re-pin once, for all its messages.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 from itertools import count
 
@@ -54,53 +54,40 @@ class SimConfigError(ValueError):
 
 MAX_VC = 8  # edge + up to 5 fabric hops + edge, with margin
 DEFAULT_WINDOW = 16  # outstanding messages per rank when a schedule sets none
+MAX_RETRIES = 8  # timeouts a chunk survives; the next one fails its message
+POOL_CHUNKS = 8  # each (port, VC) credit pool holds this many full chunks
+CC_THETA_CHUNKS = 4  # congestion threshold of a monitored queue, in chunks
+# seconds, each the float of its microseconds * 1e-6, which event times sum
+RETRY_TIMEOUT_S = 100.0 * 1e-6  # from a loss or a missing route to the retry
+CC_TAU_S = 10.0 * 1e-6  # dwell before detection and release; contributor age
+QOS_WINDOW_S = 100.0 * 1e-6  # QoS priority-budget window
+TICK_INTERVAL_S = 2.0 * 1e-6  # congestion-view rebuild and CC update period
+SERIES_INTERVAL_S = 50.0 * 1e-6  # report time-series sample period
 INF = float("inf")  # "no wake pending"; one object shared by every port
 BARRIERS = ("none", "rank", "global")
 
 
 @dataclass(slots=True)
 class SimConfig:
+    """The settings a run varies: ``seed`` (recorded in the report; the
+    router has its own), ``duration_s`` (simulated seconds before the run
+    stops), ``chunk_quantum_bytes`` (the largest chunk; a credit pool holds
+    ``POOL_CHUNKS`` of them, a congested queue over ``CC_THETA_CHUNKS``),
+    ``cc_enabled`` and ``sweep_interval_s`` (simulated seconds between
+    sweeps).  The constants above are the settings no run varies."""
+
     seed: int = 0
     duration_s: float = 1.0
     chunk_quantum_bytes: int = 4096
     cc_enabled: bool = True
-    cc_theta_bytes: int = 0  # 0 -> 4x chunk quantum
-    cc_tau_us: float = 10.0
-    retry_timeout_us: float = 100.0
-    qos_window_us: float = 100.0
-    buffer_bytes: int = 0  # per (port, vc) pool; 0 -> 8x chunk quantum
-    tick_interval_us: float = 2.0
-    series_interval_us: float = 50.0
     sweep_interval_s: float = 5.0
-    max_retries: int = 8
-
-    def theta(self) -> int:
-        return self.cc_theta_bytes or 4 * self.chunk_quantum_bytes
-
-    def buffer(self) -> int:
-        return self.buffer_bytes or 8 * self.chunk_quantum_bytes
 
     def validate(self) -> None:
         if self.chunk_quantum_bytes <= 0:
             raise SimConfigError("chunk_quantum_bytes must be > 0")
-        if self.max_retries < 1:
-            raise SimConfigError("max_retries must be >= 1")
-        # a zero interval re-fires its event at the same instant forever
-        for name in ("cc_tau_us", "retry_timeout_us", "qos_window_us",
-                     "tick_interval_us", "series_interval_us",
-                     "sweep_interval_s"):
-            if not getattr(self, name) > 0:
-                raise SimConfigError(f"{name} must be > 0")
-        if self.buffer_bytes < 0:
-            raise SimConfigError("buffer_bytes must be >= 0")
-        if self.cc_theta_bytes < 0:
-            # every idle monitored queue would count as congested
-            raise SimConfigError("cc_theta_bytes must be >= 0")
-        if self.buffer() < self.chunk_quantum_bytes:
-            # no pool could ever take a full chunk
-            raise SimConfigError(
-                f"buffer of {self.buffer()} B is smaller than a chunk "
-                f"({self.chunk_quantum_bytes} B)")
+        # a zero interval re-fires its sweep at the same instant forever
+        if not self.sweep_interval_s > 0:
+            raise SimConfigError("sweep_interval_s must be > 0")
 
 
 @dataclass(eq=False, slots=True)
@@ -149,7 +136,6 @@ class Port:
       order (None until the port first refuses credit, and again once they
       are woken), and ``wake_at``, the time of its pending rate-cap wake;
     - ``delay``, the link's propagation delay;
-    - ``groups``, the two groups a global link joins, None on other links;
     - ``rate``, the overlay's effective bandwidth of the link (0.0 while
       it is unusable) as of overlay generation ``rate_gen``;
     - ``monitored``: whether congestion management watches the port, which
@@ -164,13 +150,13 @@ class Port:
 
     __slots__ = (
         "id", "link_id", "state", "committed", "occ", "busy", "waiters",
-        "wake_at", "delay", "groups", "rate", "rate_gen", "monitored",
+        "wake_at", "delay", "rate", "rate_gen", "monitored",
         "detected", "above_since", "below_since", "contributors",
         "throttled",
     )
 
     def __init__(self, pid: int, state: PortState, delay: float,
-                 groups: tuple[int, int] | None, monitored: bool):
+                 monitored: bool):
         self.id = pid
         self.link_id = port_key(pid)[0]
         self.state = state
@@ -180,7 +166,6 @@ class Port:
         self.waiters: dict | None = None  # Port or Injector -> None
         self.wake_at = INF
         self.delay = delay
-        self.groups = groups
         self.rate = 0.0
         self.rate_gen = -1
         self.monitored = monitored
@@ -232,13 +217,13 @@ class Engine:
         self.router = router
         self.config = config
         self.profile = ClassProfile(class_configs, config.chunk_quantum_bytes,
-                                    config.qos_window_us * 1e-6)
-        self.rng = random.Random(config.seed)
+                                    QOS_WINDOW_S)
 
         self.now = 0.0
         self._heap: list = []
         self._seq = count()  # heap tie-break: events at one time fire FIFO
-        self._buffer = config.buffer()
+        self._buffer = POOL_CHUNKS * config.chunk_quantum_bytes
+        self._theta = CC_THETA_CHUNKS * config.chunk_quantum_bytes
         self.ports: dict[int, Port] = {}  # port id -> Port
         self.injectors: dict[int, Injector] = {}
         self.active_ports: dict[int, Port] = {}
@@ -278,16 +263,13 @@ class Engine:
 
     # -- setup -----------------------------------------------------------------
 
-    def inject_fault(self, link: int, t_down: float, duration: float | None = None):
-        """Schedule a link flap: down at ``t_down`` for ``duration`` seconds
-        (drawn uniformly from 3..5 s when omitted)."""
+    def inject_fault(self, link: int, t_down: float, duration: float):
+        """Schedule a link flap: down at ``t_down`` for ``duration`` seconds."""
         if not 0 <= link < len(self.topo.links):
             raise SimConfigError(f"unknown link {link}")
         if not 0 <= t_down < INF:
             raise SimConfigError(
                 f"fault time must be finite and >= 0, got {t_down}")
-        if duration is None:
-            duration = self.rng.uniform(3.0, 5.0)
         if not duration > 0:
             raise SimConfigError("fault duration must be > 0")
         self._faults.append((t_down, link, duration))
@@ -351,18 +333,12 @@ class Engine:
         return port
 
     def _new_port(self, pid: int) -> Port:
-        topo = self.topo
+        spec = self.topo.spec
         link_id, direction = port_key(pid)
-        edge = link_id < topo.total_endpoints
-        if edge:
-            delay, groups = topo.spec.endpoint_latency, None
-        else:
-            a, b = topo.links.switches(link_id)
-            ga, gb = topo.group_of_switch(a), topo.group_of_switch(b)
-            delay = topo.spec.per_hop_latency
-            groups = (ga, gb) if ga != gb else None
+        edge = link_id < self.topo.total_endpoints
         port = self.ports[pid] = Port(
-            pid, PortState(self.profile), delay, groups,
+            pid, PortState(self.profile),
+            spec.endpoint_latency if edge else spec.per_hop_latency,
             edge and direction == 1 and self.config.cc_enabled)
         if port.monitored:
             self.monitored[pid] = port
@@ -393,14 +369,12 @@ class Engine:
 
     def run(self) -> SimReport:
         cfg = self.config
-        tick = cfg.tick_interval_us * 1e-6
-        series = cfg.series_interval_us * 1e-6
         for (t, link, duration) in sorted(self._faults):
             self._push(t, K_FAULT, (link, "down", duration))
             self._push(t + duration, K_FAULT, (link, "up", duration))
             self._pending_faults += 2
-        self._push(tick, K_TICK, None)
-        self._push(series, K_SERIES, None)
+        self._push(TICK_INTERVAL_S, K_TICK, None)
+        self._push(SERIES_INTERVAL_S, K_SERIES, None)
         self._push(cfg.sweep_interval_s, K_SWEEP, None)
         self._release_ready()
         self._check_done()
@@ -429,11 +403,11 @@ class Engine:
             elif kind == K_TICK:
                 self._on_tick()
                 if not self._workload_done:
-                    self._push(t + tick, K_TICK, None)
+                    self._push(t + TICK_INTERVAL_S, K_TICK, None)
             elif kind == K_SERIES:
-                self._on_series(t, series)
+                self._on_series(t, SERIES_INTERVAL_S)
                 if not self._workload_done:
-                    self._push(t + series, K_SERIES, None)
+                    self._push(t + SERIES_INTERVAL_S, K_SERIES, None)
             elif kind == K_SWEEP:
                 self.router.sweep()
                 if not self._workload_done:
@@ -714,9 +688,8 @@ class Engine:
         link_id = port.link_id
         port.committed[chunk.hop] -= chunk.length
         port.occ -= chunk.length
-        if port.occ <= 0 and port.id in self.active_ports:
-            if port.state.backlog() == 0:
-                del self.active_ports[port.id]
+        if port.occ <= 0:  # queued bytes are reserved, so none is queued
+            del self.active_ports[port.id]
         if port.waiters:
             self._wake_waiters(port)
 
@@ -760,7 +733,7 @@ class Engine:
         if hop >= len(path):
             self._deliver(chunk)
             return
-        port = self.ports[path[hop]]  # made by _can_send before the hop
+        port = self.ports[path[hop]]  # reserved, so in active_ports
         if port.rate_gen != self.overlay.generation:
             self._refresh_rate(port)
         if not port.rate:
@@ -768,7 +741,6 @@ class Engine:
             self._lose_chunk(chunk, hop, port.link_id)
             return
         port.state.enqueue(chunk, chunk.msg.traffic_class, hop)
-        self.active_ports[port.id] = port
         if port.monitored:
             port.contributors[chunk.msg.src] = self.now
         if port.busy is None:
@@ -809,18 +781,17 @@ class Engine:
     def _retry_later(self, chunk: Chunk, link_id: int) -> None:
         """Count a timeout for ``chunk`` on ``link_id`` and schedule its
         retry, or fail its message once the chunk has retried
-        ``max_retries`` times."""
+        ``MAX_RETRIES`` times."""
         msg = chunk.msg
         self._note_timeout(msg, link_id)
         if self._drop_resolved(chunk):
             return
         chunk.retries += 1
-        if chunk.retries > self.config.max_retries:
+        if chunk.retries > MAX_RETRIES:
             self.failed_bytes += chunk.length
             self._fail(msg)
         else:
-            self._push(self.now + self.config.retry_timeout_us * 1e-6,
-                       K_RETRY, chunk)
+            self._push(self.now + RETRY_TIMEOUT_S, K_RETRY, chunk)
 
     def _drop_resolved(self, chunk: Chunk) -> bool:
         """Whether ``chunk``'s message is already resolved, so the chunk is
@@ -863,20 +834,9 @@ class Engine:
         self._check_done()
 
     def _flush_port(self, port: Port) -> None:
-        """Lose every chunk queued on ``port``, lane by lane and VC by VC,
-        and zero the deficit of each lane left empty."""
-        state = port.state
-        # a lost chunk may release new ones onto this port: the lane and
-        # queue tuples iterated here are the ones of the flush's start
-        for lane in state.lanes:
-            for q in lane.queues:
-                while q:
-                    chunk = q.pop(0)
-                    lane.queued -= chunk.length
-                    self._lose_chunk(chunk, chunk.hop, port.link_id)
-        for lane in state.lanes:
-            if not lane.queued:
-                lane.deficit = 0.0
+        """Lose every chunk ``port`` drains and wake its waiters."""
+        for chunk in port.state.drain():
+            self._lose_chunk(chunk, chunk.hop, port.link_id)
         self._wake_waiters(port)
 
     # -- congestion management -------------------------------------------------------
@@ -887,20 +847,12 @@ class Engine:
             self._cc_update()
 
     def _rebuild_view(self) -> None:
-        occ: dict[int, float] = {}
-        group_load: dict[int, float] = {}
-        for port in self.active_ports.values():
-            if port.occ <= 0:
-                continue
-            occ[port.id] = float(port.occ)
-            if port.groups is not None:
-                for g in port.groups:
-                    group_load[g] = group_load.get(g, 0.0) + port.occ
-        self.view = CongestionView(occ, group_load)
+        self.view = CongestionView({
+            pid: float(port.occ) for pid, port in self.active_ports.items()
+            if port.occ > 0})
 
     def _cc_update(self) -> None:
-        theta = self.config.theta()
-        tau = self.config.cc_tau_us * 1e-6
+        theta, tau = self._theta, CC_TAU_S
         for port in self.monitored.values():
             occ = port.occ
             if not port.detected:
@@ -927,8 +879,7 @@ class Engine:
                     port.below_since = -1.0
 
     def _sync_throttles(self, port: Port) -> None:
-        tau = self.config.cc_tau_us * 1e-6
-        horizon = self.now - tau
+        horizon = self.now - CC_TAU_S
         live = {src for src, t in port.contributors.items() if t >= horizon}
         if not live:
             live = set(port.contributors)  # keep last known feeders

@@ -152,8 +152,8 @@ class Lane:
     ``deficit`` is its DRR deficit, ``queued`` its backlog in bytes and
     ``budget`` its priority budget left in the QoS window.  ``queues`` holds
     its FIFOs for the VCs in ``vcs``, both tuples in VC order.  A FIFO is a
-    plain list: it holds only chunks its credit pool admitted (eight full
-    chunks by default), so ``pop(0)`` is cheap, and an empty list takes 56 B
+    plain list: it holds only chunks its credit pool admitted (at most
+    eight full chunks), so ``pop(0)`` is cheap, and an empty list takes 56 B
     where an empty deque takes 760 B.
     ``cap`` is its rate-cap ``TokenBucket``, None when the class is
     uncapped.  ``pos`` is the class's place in the rotor, ``profile.order``.
@@ -241,8 +241,18 @@ class PortState:
         q.append(chunk)
         lane.queued += chunk.length
 
-    def backlog(self) -> int:
-        return sum(lane.queued for lane in self.lanes)
+    def drain(self):
+        """Pop and yield every chunk queued in the lanes of its start, lane
+        by lane and VC by VC, then zero the deficit of each empty lane."""
+        for lane in self.lanes:
+            for q in lane.queues:
+                while q:
+                    chunk = q.pop(0)
+                    lane.queued -= chunk.length
+                    yield chunk
+        for lane in self.lanes:
+            if not lane.queued:
+                lane.deficit = 0.0
 
     def _roll_window(self, now: float, rate: float) -> None:
         if now >= self.window_end:

@@ -59,7 +59,6 @@ class Route:
 class RoutingPolicy:
     mode: str = "adaptive"  # 'minimal' | 'adaptive'
     nonminimal_bias: float = 2.0
-    group_load_enabled: bool = False
     intermediate_samples: int = 4
 
     def validate(self) -> None:
@@ -76,25 +75,19 @@ _ZEROS = repeat(0.0)  # default occupancy of every port absent from a view
 
 class CongestionView:
     """Read-only snapshot of directed queue occupancies (bytes, keyed by
-    port id) and group loads.
+    port id); a port absent from it is idle.
 
     Raises:
-        RoutingError: an occupancy or a group load is negative; route
-            selection's detour floor relies on every cost being >= 0.
+        RoutingError: an occupancy is negative; route selection's detour
+            floor relies on every cost being >= 0.
     """
 
-    __slots__ = ("_occ", "_group_load")
+    __slots__ = ("_occ",)
 
-    def __init__(self, occ: dict[int, float] | None = None,
-                 group_load: dict[int, float] | None = None):
+    def __init__(self, occ: dict[int, float] | None = None):
         self._occ = occ or {}
-        self._group_load = group_load or {}
-        if min(self._occ.values(), default=0.0) < 0 \
-                or min(self._group_load.values(), default=0.0) < 0:
+        if min(self._occ.values(), default=0.0) < 0:
             raise RoutingError("congestion view entries must be non-negative")
-
-    def group_load(self, group: int) -> float:
-        return self._group_load.get(group, 0.0)
 
     def route_max_occupancy(self, route: Route) -> float:
         return max(map(self._occ.get, route.ports, _ZEROS), default=0.0)
@@ -379,9 +372,7 @@ class Router:
         if ga != gb:
             del pool[min(ga, gb)]
         k = min(self.policy.intermediate_samples, len(pool))
-        if k <= 0:
-            return []
-        if k == len(pool):
+        if k == len(pool):  # also when the pool is empty
             return pool
         return self.rng.sample(pool, k)
 
@@ -439,8 +430,6 @@ class Router:
             ga = self.topo.group_of_switch(src_sw)
             gb = self.topo.group_of_switch(dst_sw)
             sampled = self._sample_intermediates(ga, gb)
-            if self.policy.group_load_enabled and sampled:
-                sampled = [min(sampled, key=lambda g: (view.group_load(g), g))]
         route = self._argmin(minimal, src_sw, dst_sw, sampled, view)
         if route is None:
             raise NoRouteError(

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import slingsim
-from slingsim.engine import Engine, SimConfig
+from slingsim.engine import MAX_RETRIES, Engine, SimConfig
 from slingsim.qos import BEST_EFFORT, default_profile
 from slingsim.report import summarize
 from slingsim.routing import Router, RoutingPolicy
@@ -165,6 +165,36 @@ def test_no_kick_finds_its_port_busy(monkeypatch):
     assert kicks and not busy
 
 
+PERM_FLAPS = "3eb78189b83c622c148b705d315ea7ef21bdad37d098d8a868ecb7f825813d55"
+FLAPS = [(first_global, 5e-6, 30e-6), (first_local, 5e-6, 30e-6)]
+
+
+@pytest.mark.parametrize("flaps, digest", [((), PERM_64K),
+                                           (FLAPS, PERM_FLAPS)],
+                         ids=["steady", "flaps"])
+def test_arrival_finds_its_port_active(monkeypatch, flaps, digest):
+    """A chunk holds its credit in the next port from ``_start_tx`` on, so
+    every arrival short of delivery finds that port in ``active_ports``
+    already: on the 64 KiB permutation, steady and with flaps, and the
+    digests stay the same."""
+    arrivals, missing = 0, []
+    arrive = Engine._on_arrive
+
+    def checked(self, chunk):
+        nonlocal arrivals
+        nxt = chunk.hop + 1
+        if nxt < len(chunk.path):
+            arrivals += 1
+            if chunk.path[nxt] not in self.active_ports:
+                missing.append(chunk.path[nxt])
+        return arrive(self, chunk)
+
+    monkeypatch.setattr(Engine, "_on_arrive", checked)
+    _, report = run(permutation(128, 64 * KIB, 1), cc=False, flaps=flaps)
+    assert report.digest == digest
+    assert arrivals and not missing
+
+
 def test_incast_with_background_cc():
     engine, report = run(incast_with_background(128, 16 * KIB, 1), cc=True)
     assert report.digest == \
@@ -184,10 +214,8 @@ def test_incast_with_background_cc_off_monitors_nothing():
 
 
 def test_permutation_with_flaps():
-    flaps = [(first_global, 5e-6, 30e-6), (first_local, 5e-6, 30e-6)]
-    _, report = run(permutation(128, 64 * KIB, 1), cc=False, flaps=flaps)
-    assert report.digest == \
-        "3eb78189b83c622c148b705d315ea7ef21bdad37d098d8a868ecb7f825813d55"
+    _, report = run(permutation(128, 64 * KIB, 1), cc=False, flaps=FLAPS)
+    assert report.digest == PERM_FLAPS
     assert 12 <= report.timeout_count <= 21
     assert report.incomplete_messages == 0 and report.failed_bytes == 0
     assert summarize(report).startswith(
@@ -227,7 +255,7 @@ def test_incast_64k_cc_completes():
 def test_long_flap_bounds_retries():
     """A global link stays down for 4 s, past the end of the run and short
     of the first routing sweep, so routes keep offering it.  Every lost
-    chunk retries at most ``max_retries`` times before its message fails,
+    chunk retries at most ``MAX_RETRIES`` times before its message fails,
     so every message resolves."""
     flaps = [(first_global, 5e-6, 4.0)]
     _, report = run(permutation(128, 64 * KIB, 1), cc=False, flaps=flaps)
@@ -237,4 +265,4 @@ def test_long_flap_bounds_retries():
     chunks = 64 * KIB // SimConfig().chunk_quantum_bytes
     per_message = Counter(e.message_id for e in report.timeout_events)
     assert max(per_message.values()) <= \
-        chunks * (SimConfig().max_retries + 1)
+        chunks * (MAX_RETRIES + 1)

@@ -328,24 +328,6 @@ def test_saturated_minimal_detours(small_topo):
     assert r.intermediate_group is not None
 
 
-def test_group_load_prefers_lightly_loaded(small_topo):
-    policy = RoutingPolicy(group_load_enabled=True, intermediate_samples=2)
-    router = Router(small_topo, StateOverlay(small_topo), policy, seed=5)
-    src = ep_on_switch(small_topo, 0)
-    dst_sw = next(iter(small_topo.switches_of_group(1)))
-    dst = ep_on_switch(small_topo, dst_sw)
-    occ = {}
-    src_sw = small_topo.switch_of_endpoint(src)
-    for r in router.tables.minimal_routes(src_sw, dst_sw):
-        for port in r.ports:
-            occ[port] = 10_000_000.0
-    # sampling pool is groups {2, 3}; load group 2 heavily
-    view = CongestionView(occ, group_load={2: 5e6, 3: 1.0})
-    for _ in range(8):
-        r = router.select_route(src, dst, 0, ordered=False, view=view)
-        assert r.intermediate_group == 3
-
-
 def test_ordered_flow_pinning(small_topo):
     router = Router(small_topo, StateOverlay(small_topo), RoutingPolicy(), seed=2)
     src = ep_on_switch(small_topo, 0)
@@ -566,13 +548,10 @@ def test_policy_rejects_bad_bias(small_topo, bias):
 def test_view_rejects_negative_entries():
     with pytest.raises(RoutingError):
         CongestionView({3: -1.0})
-    with pytest.raises(RoutingError):
-        CongestionView({}, {1: -0.5})
-    occ, group_load = {3: 4096.0, 5: 0.0}, {1: 4096.0}
+    occ = {3: 4096.0, 5: 0.0}
 
     def scaled(factor):
-        return CongestionView({p: v * factor for p, v in occ.items()},
-                              {g: v * factor for g, v in group_load.items()})
+        return CongestionView({p: v * factor for p, v in occ.items()})
 
     with pytest.raises(RoutingError):
         scaled(-1.0)
