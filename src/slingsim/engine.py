@@ -276,7 +276,8 @@ class Engine:
 
     def load(self, placement, schedule) -> None:
         """Install a workload: one message per schedule entry, released per
-        phase-barrier rules and the per-rank outstanding window."""
+        phase-barrier rules and the per-rank outstanding window.  A message
+        must carry a byte: arbitration never serves a lone chunk of none."""
         n = placement.ranks
         if schedule.barrier not in BARRIERS:
             raise SimConfigError(f"unknown barrier {schedule.barrier!r}")
@@ -299,6 +300,8 @@ class Engine:
             for (src_rank, dst_rank, size, ordered) in phase.messages:
                 if not (0 <= src_rank < n and 0 <= dst_rank < n):
                     raise SimConfigError(f"rank out of range in phase {p}")
+                if not size >= 1:
+                    raise SimConfigError(f"message size {size} < 1 in phase {p}")
                 tc = schedule.traffic_class
                 if tc not in self.profile.configs:
                     raise SimConfigError(f"unknown traffic class {tc}")
@@ -505,10 +508,6 @@ class Engine:
             return p != start
         return False
 
-    def _complete(self, msg: Message) -> None:
-        msg.completion_time = self.now
-        self._resolve(msg)
-
     def _fail(self, msg: Message) -> None:
         msg.failed = True
         inj = self.injectors.get(msg.src)
@@ -588,7 +587,7 @@ class Engine:
             msg = inj.active[(inj.rr + i) % n]
             if msg.done or msg.fully_released:
                 continue
-            length = min(quantum, msg.size - msg.released) if msg.size else 0
+            length = min(quantum, msg.size - msg.released)
             t = self._throttle_wait(inj, msg, length)
             if t is not None:
                 earliest = t if earliest is None else min(earliest, t)
@@ -605,7 +604,7 @@ class Engine:
     def _make_chunk(self, msg: Message, quantum: int) -> Chunk | None:
         """Cut ``msg``'s next chunk and route it; None when it found no
         route and waits to retry."""
-        length = min(quantum, msg.size - msg.released) if msg.size else 0
+        length = min(quantum, msg.size - msg.released)
         chunk = Chunk(msg, length)
         msg.released += length
         if msg.released >= msg.size:
@@ -689,7 +688,7 @@ class Engine:
         port.committed[chunk.hop] -= chunk.length
         port.occ -= chunk.length
         if port.occ <= 0:  # queued bytes are reserved, so none is queued
-            del self.active_ports[port.id]
+            self.active_ports.pop(port.id, None)
         if port.waiters:
             self._wake_waiters(port)
 
@@ -733,7 +732,7 @@ class Engine:
         if hop >= len(path):
             self._deliver(chunk)
             return
-        port = self.ports[path[hop]]  # reserved, so in active_ports
+        port = self.ports[path[hop]]  # the chunk's credit keeps it active
         if port.rate_gen != self.overlay.generation:
             self._refresh_rate(port)
         if not port.rate:
@@ -754,7 +753,8 @@ class Engine:
             self.per_ep_delivered.get(msg.dst, 0) + chunk.length
         if not msg.done and not msg.failed and msg.fully_released \
                 and msg.delivered >= msg.size:
-            self._complete(msg)
+            msg.completion_time = self.now
+            self._resolve(msg)
 
     # -- loss, retry, faults ------------------------------------------------------------
 

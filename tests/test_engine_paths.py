@@ -176,9 +176,18 @@ def test_barrier_passes_phases_without_work(schedule):
      Schedule((Phase(((0, 1, 4 * KIB, False),)),), window=-1)),
     (Placement(2, (0, 128)), Schedule((Phase(((0, 1, 4 * KIB, False),)),))),
     (Placement(2, (0,)), Schedule((Phase(((0, 1, 4 * KIB, False),)),))),
+    (Placement(2, (0, 17)),
+     Schedule((Phase(((0, 1, 4 * KIB, False), (0, 1, 0, False))),))),
+    (Placement(2, (0, 17)),
+     Schedule((Phase(((0, 1, 0, False), (0, 1, 0, False))),))),
+    (Placement(2, (0, 17)), Schedule((Phase(((0, 1, -1, False),)),))),
 ], ids=["unknown_barrier", "negative_window", "endpoint_past_fabric",
-        "rank_without_endpoint"])
+        "rank_without_endpoint", "empty_message_behind_another",
+        "two_empty_messages", "negative_size"])
 def test_bad_schedule_is_rejected(placement, schedule):
+    """Among these, an empty message would cut one chunk of no bytes, which
+    arbitration never serves (it serves a class only while it has bytes
+    queued), so the message would stay incomplete to the end of the run."""
     with pytest.raises(SimConfigError):
         make_engine().load(placement, schedule)
 
