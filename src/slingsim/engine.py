@@ -69,9 +69,9 @@ BARRIERS = ("none", "rank", "global")
 
 @dataclass(slots=True)
 class SimConfig:
-    """The settings a run varies: ``seed`` (recorded in the report; the
-    router has its own), ``duration_s`` (simulated seconds before the run
-    stops), ``chunk_quantum_bytes`` (the largest chunk; a credit pool holds
+    """The settings a run varies: ``seed`` (the router's, recorded in the
+    report), ``duration_s`` (simulated seconds before the run stops),
+    ``chunk_quantum_bytes`` (the largest chunk; a credit pool holds
     ``POOL_CHUNKS`` of them, a congested queue over ``CC_THETA_CHUNKS``),
     ``cc_enabled`` and ``sweep_interval_s`` (simulated seconds between
     sweeps).  The constants above are the settings no run varies."""
@@ -122,13 +122,11 @@ class Chunk:
         self.retries = 0  # timeouts over the chunk's whole life
 
 
-class Port:
-    """Runtime state of one directed link.
-
-    Every port has:
+class Port(PortState):
+    """Runtime state of one directed link.  A port is its own
+    ``qos.PortState``, which ``arbitrate`` reads; besides that, it has:
 
     - ``id``, its port id, and ``link_id``, its link's id;
-    - ``state``, its ``qos.PortState``;
     - ``committed``, the bytes reserved in each VC's credit pool, and
       ``occ``, their sum;
     - ``busy``, the chunk on the wire, if any;
@@ -149,17 +147,17 @@ class Port:
     """
 
     __slots__ = (
-        "id", "link_id", "state", "committed", "occ", "busy", "waiters",
+        "id", "link_id", "committed", "occ", "busy", "waiters",
         "wake_at", "delay", "rate", "rate_gen", "monitored",
         "detected", "above_since", "below_since", "contributors",
         "throttled",
     )
 
-    def __init__(self, pid: int, state: PortState, delay: float,
+    def __init__(self, pid: int, profile: ClassProfile, delay: float,
                  monitored: bool):
+        super().__init__(profile)
         self.id = pid
         self.link_id = port_key(pid)[0]
-        self.state = state
         self.committed = [0] * MAX_VC
         self.occ = 0
         self.busy: Chunk | None = None
@@ -181,12 +179,11 @@ class Injector:
     """Per-source-endpoint chunk release: message round robin, retry queue
     and per-congested-destination rate limits."""
 
-    __slots__ = ("ep", "edge_link", "out_port", "active", "rr", "retries",
-                 "throttles", "wake_at")
+    __slots__ = ("ep", "out_port", "active", "rr", "retries", "throttles",
+                 "wake_at")
 
     def __init__(self, ep: int, edge_link: int):
         self.ep = ep
-        self.edge_link = edge_link
         self.out_port = port_id(edge_link, 0)
         self.active: list[Message] = []
         self.rr = 0
@@ -212,6 +209,10 @@ class Engine:
     def __init__(self, topo: Topology, overlay: StateOverlay, router: Router,
                  class_configs, config: SimConfig):
         config.validate()
+        if config.seed != router.seed:
+            raise SimConfigError(
+                f"SimConfig.seed {config.seed} differs from the router's "
+                f"seed {router.seed}")
         self.topo = topo
         self.overlay = overlay
         self.router = router
@@ -236,7 +237,6 @@ class Engine:
         self.injected_bytes = 0
         self.delivered_bytes = 0
         self.failed_bytes = 0
-        self.timeouts = 0
         self.timeout_events: list[TimeoutEvent] = []
         self.flap_events: list[FlapEvent] = []
         self.per_ep_delivered: dict[int, int] = {}
@@ -246,7 +246,6 @@ class Engine:
         self._faults: list[tuple[float, int, float]] = []
         self._pending_faults = 0
         self.unresolved = 0
-        self._workload_done = False
 
         # schedule-runner state, filled by load()
         self._rank_queues: list[list[Message]] = []
@@ -255,10 +254,10 @@ class Engine:
         self._window = DEFAULT_WINDOW
         self._barrier = "none"
         self._rank_phase: list[int] = []
-        self._rank_involved: list[list[int]] = []
-        self._rank_done: list[list[int]] = []
-        self._phase_total: list[int] = []
-        self._phase_done: list[int] = []
+        # messages of each phase not yet resolved, per rank sending or
+        # receiving them and in all
+        self._rank_left: list[list[int]] = []
+        self._phase_left: list[int] = []
         self._global_phase = 0
 
     # -- setup -----------------------------------------------------------------
@@ -293,9 +292,8 @@ class Engine:
         self._outstanding = [0] * n
         self._rank_next = [0] * n
         phases = schedule.phases
-        self._rank_involved = [[0] * len(phases) for _ in range(n)]
-        self._phase_total = [0] * len(phases)
-        self._phase_done = [0] * len(phases)
+        self._rank_left = [[0] * len(phases) for _ in range(n)]
+        self._phase_left = [0] * len(phases)
         for p, phase in enumerate(phases):
             for (src_rank, dst_rank, size, ordered) in phase.messages:
                 if not (0 <= src_rank < n and 0 <= dst_rank < n):
@@ -313,11 +311,10 @@ class Engine:
                     src_rank=src_rank, dst_rank=dst_rank)
                 self.messages.append(msg)
                 self._rank_queues[src_rank].append(msg)
-                self._rank_involved[src_rank][p] += 1
+                self._rank_left[src_rank][p] += 1
                 if dst_rank != src_rank:
-                    self._rank_involved[dst_rank][p] += 1
-                self._phase_total[p] += 1
-        self._rank_done = [[0] * len(phases) for _ in range(n)]
+                    self._rank_left[dst_rank][p] += 1
+                self._phase_left[p] += 1
         self._rank_phase = [0] * n
         self._advance_phases(range(n))  # past phases with nothing to wait for
         self.unresolved = len(self.messages)
@@ -340,7 +337,7 @@ class Engine:
         link_id, direction = port_key(pid)
         edge = link_id < self.topo.total_endpoints
         port = self.ports[pid] = Port(
-            pid, PortState(self.profile),
+            pid, self.profile,
             spec.endpoint_latency if edge else spec.per_hop_latency,
             edge and direction == 1 and self.config.cc_enabled)
         if port.monitored:
@@ -380,7 +377,6 @@ class Engine:
         self._push(SERIES_INTERVAL_S, K_SERIES, None)
         self._push(cfg.sweep_interval_s, K_SWEEP, None)
         self._release_ready()
-        self._check_done()
 
         heap = self._heap
         pop = heapq.heappop
@@ -405,27 +401,23 @@ class Engine:
                 self._run_injector(payload)
             elif kind == K_TICK:
                 self._on_tick()
-                if not self._workload_done:
+                if self.unresolved:
                     self._push(t + TICK_INTERVAL_S, K_TICK, None)
             elif kind == K_SERIES:
                 self._on_series(t, SERIES_INTERVAL_S)
-                if not self._workload_done:
+                if self.unresolved:
                     self._push(t + SERIES_INTERVAL_S, K_SERIES, None)
             elif kind == K_SWEEP:
                 self.router.sweep()
-                if not self._workload_done:
+                if self.unresolved:
                     self._push(t + cfg.sweep_interval_s, K_SWEEP, None)
             elif kind == K_FAULT:
                 self._on_fault(*payload)
             elif kind == K_RETRY:
                 self._on_retry(payload)
-            if self._workload_done and self._pending_faults == 0:
+            if not self.unresolved and not self._pending_faults:
                 break
         return self._report()
-
-    def _check_done(self) -> None:
-        if self.unresolved == 0:
-            self._workload_done = True
 
     # -- schedule release -----------------------------------------------------------
 
@@ -475,34 +467,33 @@ class Engine:
         rank = msg.src_rank
         self._outstanding[rank] -= 1
         p = msg.phase
-        self._rank_done[rank][p] += 1
+        self._rank_left[rank][p] -= 1
         unlocked = [rank]
         if msg.dst_rank != rank:
-            self._rank_done[msg.dst_rank][p] += 1
+            self._rank_left[msg.dst_rank][p] -= 1
             unlocked.append(msg.dst_rank)
-        self._phase_done[p] += 1
+        self._phase_left[p] -= 1
         if self._advance_phases(unlocked):
             self._release_ready()
         else:
             for r in unlocked:
                 self._release_rank(r)
-        self._check_done()
 
     def _advance_phases(self, ranks) -> bool:
         """Move the barrier past every finished phase: the phase of each
         rank in ``ranks`` under the rank barrier, the global phase under
         the global one.  Returns whether the global phase moved."""
-        phases = len(self._phase_total)
+        phases = len(self._phase_left)
         if self._barrier == "rank":
             for r in ranks:
-                done, involved = self._rank_done[r], self._rank_involved[r]
+                left = self._rank_left[r]
                 p = self._rank_phase[r]
-                while p < phases and done[p] >= involved[p]:
+                while p < phases and left[p] <= 0:
                     p += 1
                 self._rank_phase[r] = p
         elif self._barrier == "global":
             start = p = self._global_phase
-            while p < phases and self._phase_done[p] >= self._phase_total[p]:
+            while p < phases and self._phase_left[p] <= 0:
                 p += 1
             self._global_phase = p
             return p != start
@@ -570,7 +561,7 @@ class Engine:
             out.committed[0] += chunk.length
             out.occ += chunk.length
             self.active_ports[out.id] = out
-            out.state.enqueue(chunk, chunk.msg.traffic_class, 0)
+            out.enqueue(chunk, chunk.msg.traffic_class, 0)
             if out.busy is None:
                 self._kick_port(out)
 
@@ -641,7 +632,7 @@ class Engine:
         if not rate:
             return
         blocked = self._blocked
-        chunk, wake = arbitrate(port.state, self.now, rate, self._can_send)
+        chunk, wake = arbitrate(port, self.now, rate, self._can_send)
         if chunk is not None:
             blocked.clear()
             self._start_tx(port, chunk, rate)
@@ -739,7 +730,7 @@ class Engine:
             # next link died while the chunk was in flight toward it
             self._lose_chunk(chunk, hop, port.link_id)
             return
-        port.state.enqueue(chunk, chunk.msg.traffic_class, hop)
+        port.enqueue(chunk, chunk.msg.traffic_class, hop)
         if port.monitored:
             port.contributors[chunk.msg.src] = self.now
         if port.busy is None:
@@ -759,7 +750,6 @@ class Engine:
     # -- loss, retry, faults ------------------------------------------------------------
 
     def _note_timeout(self, msg: Message, link_id: int) -> None:
-        self.timeouts += 1
         link = self.topo.links[link_id]
         node = self.topo.node_of_endpoint(link.endpoint) if link.kind == EDGE else -1
         self.timeout_events.append(
@@ -831,11 +821,10 @@ class Engine:
                 port = self.ports.get(port_id(link_id, d))
                 if port is not None:
                     self._kick_port(port)
-        self._check_done()
 
     def _flush_port(self, port: Port) -> None:
         """Lose every chunk ``port`` drains and wake its waiters."""
-        for chunk in port.state.drain():
+        for chunk in port.drain():
             self._lose_chunk(chunk, chunk.hop, port.link_id)
         self._wake_waiters(port)
 
@@ -921,7 +910,8 @@ class Engine:
         delta = self.delivered_bytes - self._series_last_bytes
         self._series_last_bytes = self.delivered_bytes
         inflight = self.injected_bytes - self.delivered_bytes - self.failed_bytes
-        self.series.append((t, delta / interval, inflight, self.timeouts))
+        self.series.append((t, delta / interval, inflight,
+                            len(self.timeout_events)))
 
     def _report(self) -> SimReport:
         records = [
@@ -941,7 +931,7 @@ class Engine:
             messages=records,
             per_endpoint_delivered=dict(sorted(self.per_ep_delivered.items())),
             series=list(self.series),
-            timeout_count=self.timeouts,
+            timeout_count=len(self.timeout_events),
             timeout_events=list(self.timeout_events),
             flap_events=list(self.flap_events),
             injected_bytes=self.injected_bytes,

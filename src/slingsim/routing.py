@@ -1,13 +1,20 @@
 """Dragonfly route enumeration and congestion-aware route selection.
 
-Minimal routes take at most three switch-to-switch hops (local, global,
-local); non-minimal routes detour through exactly one intermediate group and
-take at most five.  Selection compares congestion-weighted costs in the
-UGAL style: cost ranks by ``weight x (hops+1) x max queue occupancy`` along
-the route, where non-minimal candidates carry a configurable bias weight.
-Ties rank by the occupancy-free weight and then by candidate index, so the
-choice is deterministic and invariant under uniform scaling of occupancies.
-Every detour crosses two global links, so its (cost, weight) is at least
+Every route between groups follows one rule: global links joined by local
+hops.  It crosses its global links in order, each from its end in the group
+the route is in, and wherever it must change switch inside a group, to
+reach the next global link or the destination switch, it takes the first
+usable local link.  A minimal route crosses one global link, so it takes at
+most three switch-to-switch hops (local, global, local); a non-minimal route
+detours through one intermediate group, crossing one global link into it
+and one out of it, so it takes at most five.
+
+Selection compares congestion-weighted costs in the UGAL style: cost ranks
+by ``weight x (hops+1) x max queue occupancy`` along the route, where
+non-minimal candidates carry a configurable bias weight.  Ties rank by the
+occupancy-free weight and then by candidate index, so the choice is
+deterministic and invariant under uniform scaling of occupancies.  Every
+detour crosses two global links, so its (cost, weight) is at least
 (0, 3 x bias).  Once a candidate reaches that floor, as an idle minimal
 route of weight at most 3 x bias does, the remaining detours are neither
 enumerated nor scored, and the choice is the same as scoring them all.
@@ -148,16 +155,38 @@ def _hop(topo: Topology, link_id: int, from_switch: int) -> tuple[int, int]:
     return port_id(link_id, 1), a
 
 
-def _first_usable_local(topo: Topology, view, sa: int, sb: int) -> int | None:
-    for lid in topo.local_links_between(sa, sb):
-        if view.link_usable(lid):
-            return lid
-    return None
-
-
 def _usable_globals(topo: Topology, view, ga: int, gb: int) -> list[int]:
     key = (ga, gb) if ga < gb else (gb, ga)
     return [l for l in topo.global_links.get(key, ()) if view.link_usable(l)]
+
+
+def _join(topo: Topology, view, at: int, legs: tuple[int, ...],
+          dst: int) -> tuple[int, ...] | None:
+    """Port ids of the route from switch ``at`` over the global links
+    ``legs``, in order, to switch ``dst``, or None when a local hop it
+    needs has no usable link.  Each leg leaves from its end in the current
+    group; each change of switch inside a group, to reach a leg or ``dst``,
+    takes the first usable local link."""
+    group = topo.group_of_switch
+    ports: list[int] = []
+    for gl in (*legs, None):
+        if gl is None:
+            end = dst
+        else:
+            a, b = topo.links.switches(gl)
+            end = a if group(a) == group(at) else b
+        if end != at:
+            for lid in topo.links.local_between(at, end):
+                if view.link_usable(lid):
+                    break
+            else:
+                return None
+            port, at = _hop(topo, lid, at)
+            ports.append(port)
+        if gl is not None:
+            port, at = _hop(topo, gl, at)
+            ports.append(port)
+    return tuple(ports)
 
 
 def enumerate_minimal_routes(topo: Topology, view, src_switch: int,
@@ -166,8 +195,7 @@ def enumerate_minimal_routes(topo: Topology, view, src_switch: int,
 
     Same switch yields one empty route; an intra-group pair yields one route
     per usable direct local link; an inter-group pair yields one route per
-    usable global link between the groups (prefixed/suffixed with the direct
-    local hop when the global port sits on another switch).
+    usable global link between the groups, joined to both switches.
 
     Raises:
         NoRouteError: every candidate is down or in maintenance.
@@ -178,47 +206,26 @@ def enumerate_minimal_routes(topo: Topology, view, src_switch: int,
     gb = topo.group_of_switch(dst_switch)
     routes: list[Route] = []
     if ga == gb:
-        for lid in topo.local_links_between(src_switch, dst_switch):
+        for lid in topo.links.local_between(src_switch, dst_switch):
             if view.link_usable(lid):
                 routes.append(Route((_hop(topo, lid, src_switch)[0],)))
     else:
         for gl in _usable_globals(topo, view, ga, gb):
-            link = topo.links[gl]
-            a_sw, b_sw = link.switch_a, link.switch_b
-            if topo.group_of_switch(a_sw) != ga:
-                a_sw, b_sw = b_sw, a_sw
-            lids: list[int] = []
-            if a_sw != src_switch:
-                lid = _first_usable_local(topo, view, src_switch, a_sw)
-                if lid is None:
-                    continue
-                lids.append(lid)
-            lids.append(gl)
-            if b_sw != dst_switch:
-                lid = _first_usable_local(topo, view, b_sw, dst_switch)
-                if lid is None:
-                    continue
-                lids.append(lid)
-            routes.append(Route(_travel(topo, src_switch, lids)))
+            ports = _join(topo, view, src_switch, (gl,), dst_switch)
+            if ports is not None:
+                routes.append(Route(ports))
     if not routes:
         raise NoRouteError(
             f"no usable minimal route between switches {src_switch} and {dst_switch}")
     return tuple(routes)
 
 
-def _travel(topo: Topology, at: int, lids: list[int]) -> tuple[int, ...]:
-    """Port ids travelling ``lids`` out of switch ``at``."""
-    ports: list[int] = []
-    for lid in lids:
-        port, at = _hop(topo, lid, at)
-        ports.append(port)
-    return tuple(ports)
-
-
 def enumerate_nonminimal_routes(topo: Topology, view, src_switch: int,
                                 dst_switch: int,
                                 intermediate_group: int) -> tuple[Route, ...]:
-    """All detour routes through ``intermediate_group`` (<= 5 hops).
+    """All detour routes through ``intermediate_group`` (<= 5 hops): one
+    per usable global link into the group and, inside that, per usable
+    global link out of it toward the destination group.
 
     Raises:
         RoutingError: the intermediate group equals the source or destination
@@ -233,47 +240,13 @@ def enumerate_nonminimal_routes(topo: Topology, view, src_switch: int,
             f"source group {ga} and destination group {gb}")
     if not 0 <= intermediate_group < len(topo.group_kinds):
         raise RoutingError(f"unknown group {intermediate_group}")
-
-    # each usable way out of the intermediate group: the switch it leaves
-    # from and the legs from there to dst_switch
-    exits = []
-    for gl_out in _usable_globals(topo, view, intermediate_group, gb):
-        link_out = topo.links[gl_out]
-        i2 = link_out.switch_a \
-            if topo.group_of_switch(link_out.switch_a) == intermediate_group \
-            else link_out.switch_b
-        b_sw = link_out.peer(i2)
-        lids = [gl_out]
-        if b_sw != dst_switch:
-            lid = _first_usable_local(topo, view, b_sw, dst_switch)
-            if lid is None:
-                continue
-            lids.append(lid)
-        exits.append((i2, _travel(topo, i2, lids)))
-
+    outs = _usable_globals(topo, view, intermediate_group, gb)
     routes: list[Route] = []
     for gl_in in _usable_globals(topo, view, ga, intermediate_group):
-        link_in = topo.links[gl_in]
-        a_sw = link_in.switch_a if topo.group_of_switch(link_in.switch_a) == ga \
-            else link_in.switch_b
-        i1 = link_in.peer(a_sw)
-        lids = []
-        if a_sw != src_switch:
-            lid = _first_usable_local(topo, view, src_switch, a_sw)
-            if lid is None:
-                continue
-            lids.append(lid)
-        lids.append(gl_in)
-        head = _travel(topo, src_switch, lids)
-        for i2, tail in exits:
-            if i1 == i2:
-                routes.append(Route(head + tail, intermediate_group))
-                continue
-            lid = _first_usable_local(topo, view, i1, i2)
-            if lid is None:
-                continue
-            routes.append(Route(head + (_hop(topo, lid, i1)[0],) + tail,
-                                intermediate_group))
+        for gl_out in outs:
+            ports = _join(topo, view, src_switch, (gl_in, gl_out), dst_switch)
+            if ports is not None:
+                routes.append(Route(ports, intermediate_group))
     if not routes:
         raise NoRouteError(
             f"intermediate group {intermediate_group} unreachable between "
@@ -348,6 +321,7 @@ class Router:
         self.policy.validate()
         self.tables = routing_sweep(topo, overlay)
         self.flow_table = FlowTable()
+        self.seed = seed
         self.rng = random.Random(seed)
         # (cost, w, route) of the best route of each route set of ``tables``
         # scored against one view, keyed by id(route set); holding ``tables``

@@ -127,9 +127,6 @@ class Link:
     port_b: int
     endpoint: int = -1
 
-    def peer(self, switch: int) -> int:
-        return self.switch_b if switch == self.switch_a else self.switch_a
-
 
 def port_id(link: int, direction: int) -> int:
     """Integer id of the directed port that travels ``link`` in
@@ -218,8 +215,8 @@ class LinkTable(Sequence[Link]):
         return base + i, base + j
 
     def local_between(self, sa: int, sb: int) -> range:
-        """Ids of the local links between switches ``sa`` and ``sb``; empty
-        across groups and for the same switch."""
+        """Ids of the local links between switches ``sa`` and ``sb``, in
+        either order; empty across groups and for the same switch."""
         S = self._switches_per_group
         g, i = divmod(sa, S)
         gb, j = divmod(sb, S)
@@ -261,7 +258,7 @@ class Topology:
     order, then come the local links, then the global links.  Edge and local
     links are computed from their ids; only global links are stored.
     ``global_links`` maps a group pair ``(a, b)``, ``a < b``, to the ids of
-    its global links; :meth:`local_links_between` gives the ids of the local
+    its global links; ``links.local_between`` gives the ids of the local
     links between two switches.
     """
 
@@ -327,11 +324,6 @@ class Topology:
 
     def fabric_link_ids(self) -> range:
         return range(self.total_endpoints, len(self.links))
-
-    def local_links_between(self, sa: int, sb: int) -> range:
-        """Ids of the local links between switches ``sa`` and ``sb``, in
-        either order; empty across groups and for the same switch."""
-        return self.links.local_between(sa, sb)
 
 
 def _global_pair_multiplicity(spec: TopologySpec, kind_a: str, kind_b: str) -> int:

@@ -1,0 +1,144 @@
+"""Frozen reference copy of route enumeration as it stood while minimal
+routes and each half of a detour were built by hand: a local hop to the
+global link's port, the global link, a local hop on from its far end, and
+the link ids replayed into port ids by ``_travel``.
+``test_enumeration_matches_reference`` compares ``slingsim.routing``'s
+enumerators against this copy, route for route and in order, because route
+order sets the candidate indices that break selection ties; do not edit it
+to follow later changes of ``slingsim.routing``.
+
+The code is verbatim except for two names the topology no longer has:
+``topo.links.local_between`` stands for ``Topology.local_links_between``,
+which only forwarded to it, and ``_peer`` for ``Link.peer``.
+"""
+
+from __future__ import annotations
+
+from slingsim.routing import NoRouteError, Route, RoutingError
+from slingsim.topology import Topology, port_id
+
+
+def _peer(link, switch: int) -> int:
+    return link.switch_b if switch == link.switch_a else link.switch_a
+
+
+def _hop(topo: Topology, link_id: int, from_switch: int) -> tuple[int, int]:
+    """(port, to_switch) for traveling link_id out of from_switch."""
+    a, b = topo.links.switches(link_id)
+    if a == from_switch:
+        return port_id(link_id, 0), b
+    return port_id(link_id, 1), a
+
+
+def _first_usable_local(topo: Topology, view, sa: int, sb: int) -> int | None:
+    for lid in topo.links.local_between(sa, sb):
+        if view.link_usable(lid):
+            return lid
+    return None
+
+
+def _usable_globals(topo: Topology, view, ga: int, gb: int) -> list[int]:
+    key = (ga, gb) if ga < gb else (gb, ga)
+    return [l for l in topo.global_links.get(key, ()) if view.link_usable(l)]
+
+
+def enumerate_minimal_routes(topo: Topology, view, src_switch: int,
+                             dst_switch: int) -> tuple[Route, ...]:
+    if src_switch == dst_switch:
+        return (Route(()),)
+    ga = topo.group_of_switch(src_switch)
+    gb = topo.group_of_switch(dst_switch)
+    routes: list[Route] = []
+    if ga == gb:
+        for lid in topo.links.local_between(src_switch, dst_switch):
+            if view.link_usable(lid):
+                routes.append(Route((_hop(topo, lid, src_switch)[0],)))
+    else:
+        for gl in _usable_globals(topo, view, ga, gb):
+            link = topo.links[gl]
+            a_sw, b_sw = link.switch_a, link.switch_b
+            if topo.group_of_switch(a_sw) != ga:
+                a_sw, b_sw = b_sw, a_sw
+            lids: list[int] = []
+            if a_sw != src_switch:
+                lid = _first_usable_local(topo, view, src_switch, a_sw)
+                if lid is None:
+                    continue
+                lids.append(lid)
+            lids.append(gl)
+            if b_sw != dst_switch:
+                lid = _first_usable_local(topo, view, b_sw, dst_switch)
+                if lid is None:
+                    continue
+                lids.append(lid)
+            routes.append(Route(_travel(topo, src_switch, lids)))
+    if not routes:
+        raise NoRouteError(
+            f"no usable minimal route between switches {src_switch} and {dst_switch}")
+    return tuple(routes)
+
+
+def _travel(topo: Topology, at: int, lids: list[int]) -> tuple[int, ...]:
+    """Port ids travelling ``lids`` out of switch ``at``."""
+    ports: list[int] = []
+    for lid in lids:
+        port, at = _hop(topo, lid, at)
+        ports.append(port)
+    return tuple(ports)
+
+
+def enumerate_nonminimal_routes(topo: Topology, view, src_switch: int,
+                                dst_switch: int,
+                                intermediate_group: int) -> tuple[Route, ...]:
+    ga = topo.group_of_switch(src_switch)
+    gb = topo.group_of_switch(dst_switch)
+    if intermediate_group in (ga, gb):
+        raise RoutingError(
+            f"intermediate group {intermediate_group} must differ from "
+            f"source group {ga} and destination group {gb}")
+    if not 0 <= intermediate_group < len(topo.group_kinds):
+        raise RoutingError(f"unknown group {intermediate_group}")
+
+    exits = []
+    for gl_out in _usable_globals(topo, view, intermediate_group, gb):
+        link_out = topo.links[gl_out]
+        i2 = link_out.switch_a \
+            if topo.group_of_switch(link_out.switch_a) == intermediate_group \
+            else link_out.switch_b
+        b_sw = _peer(link_out, i2)
+        lids = [gl_out]
+        if b_sw != dst_switch:
+            lid = _first_usable_local(topo, view, b_sw, dst_switch)
+            if lid is None:
+                continue
+            lids.append(lid)
+        exits.append((i2, _travel(topo, i2, lids)))
+
+    routes: list[Route] = []
+    for gl_in in _usable_globals(topo, view, ga, intermediate_group):
+        link_in = topo.links[gl_in]
+        a_sw = link_in.switch_a if topo.group_of_switch(link_in.switch_a) == ga \
+            else link_in.switch_b
+        i1 = _peer(link_in, a_sw)
+        lids = []
+        if a_sw != src_switch:
+            lid = _first_usable_local(topo, view, src_switch, a_sw)
+            if lid is None:
+                continue
+            lids.append(lid)
+        lids.append(gl_in)
+        head = _travel(topo, src_switch, lids)
+        for i2, tail in exits:
+            if i1 == i2:
+                routes.append(Route(head + tail, intermediate_group))
+                continue
+            lid = _first_usable_local(topo, view, i1, i2)
+            if lid is None:
+                continue
+            routes.append(Route(head + (_hop(topo, lid, i1)[0],) + tail,
+                                intermediate_group))
+    if not routes:
+        raise NoRouteError(
+            f"intermediate group {intermediate_group} unreachable between "
+            f"switches {src_switch} and {dst_switch}")
+    return tuple(routes)

@@ -29,11 +29,11 @@ TOPOLOGY_BYTES = 12e6
 
 # bytes the sparse permutation may keep per port it made, all the run's
 # other state (messages, routes, report) included: a port with one lane,
-# one VC queue and its credit pools takes about 1.34 KB in this CC-off run
-# (1.36 KB while a port kept the groups of its link); a waiter dict on
-# every port and congestion state on every edge-in port would add about
-# 0.17 KB
-PORT_BYTES = 1450
+# one VC queue and its credit pools takes about 1.28 KB in this CC-off run
+# (1.34 KB while the port and its arbitration state were two objects); a
+# waiter dict on every port and congestion state on every edge-in port
+# would add about 0.17 KB
+PORT_BYTES = 1400
 
 
 def test_aurora_topology_stores_only_global_links():

@@ -33,7 +33,7 @@ def test_ports_share_one_profile(monkeypatch):
     engine, _ = run(permutation(128, 64 * KIB, 1), cc=False)
     assert len(calls) == 1
     assert len(engine.ports) > 128
-    assert all(port.state.profile is engine.profile
+    assert all(port.profile is engine.profile
                for port in engine.ports.values())
 
 

@@ -132,7 +132,7 @@ def first_global(topo):
 
 
 def first_local(topo):
-    return topo.local_links_between(0, 1)[0]
+    return topo.links.local_between(0, 1)[0]
 
 
 PERM_64K = "ab8c4cb653875d22f2cb64fed1bb5a4c273f631db79f5daf39ae7a57bed29907"

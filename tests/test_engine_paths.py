@@ -203,6 +203,13 @@ def test_bad_config_is_rejected(config):
         make_engine(**config)
 
 
+def test_seed_other_than_the_routers_is_rejected():
+    """A run has one seed: the report records ``SimConfig.seed``, so it must
+    be the seed the router's sampling draws from."""
+    with pytest.raises(SimConfigError, match=r"seed 2 .* seed 1"):
+        make_engine(seed=2)  # the router of make_engine has seed 1
+
+
 @pytest.mark.parametrize("config", [
     dict(duration_s=float("nan")),
     dict(duration_s=0.0),

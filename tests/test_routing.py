@@ -14,6 +14,7 @@ from collections import deque
 
 import pytest
 
+import routing_reference
 from conftest import make_spec, bench_spec
 from slingsim import routing
 from slingsim.routing import (
@@ -216,6 +217,48 @@ def test_nonminimal_unreachable(small_topo):
     dst = next(iter(small_topo.switches_of_group(1)))
     with pytest.raises(NoRouteError):
         enumerate_nonminimal_routes(small_topo, view, 0, dst, 2)
+
+
+def outcome(enumerate_routes, *args):
+    """The routes ``enumerate_routes(*args)`` returns, or the message of the
+    ``NoRouteError`` it raises."""
+    try:
+        return enumerate_routes(*args)
+    except NoRouteError as e:
+        return f"NoRouteError: {e}"
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+@pytest.mark.parametrize("spec", [spec for spec, _ in MATRIX] + [
+    make_spec(local_links_per_switch_pair=2, global_links_per_compute_pair=2)])
+def test_enumeration_matches_reference(spec, degraded):
+    """Both enumerators give the frozen reference's routes, in its order,
+    for every ordered switch pair and every intermediate group of the
+    pair, on an intact fabric and with a seeded ~10% of the local and
+    global links down.  The last fabric has two local links per switch
+    pair, so a local hop has a choice to make when one is down."""
+    topo = build_topology(spec)
+    intact, view = StateOverlay(topo), StateOverlay(topo)
+    if degraded:
+        rng = random.Random(2008)
+        for lid in topo.fabric_link_ids():
+            if rng.random() < 0.1:
+                view.set_link_state(lid, status="down")
+    changed = 0  # outcomes the down links changed
+    for src, dst in itertools.product(range(topo.switch_count), repeat=2):
+        ends = {topo.group_of_switch(src), topo.group_of_switch(dst)}
+        cases = [(enumerate_minimal_routes,
+                  routing_reference.enumerate_minimal_routes, ())]
+        cases += [(enumerate_nonminimal_routes,
+                   routing_reference.enumerate_nonminimal_routes, (g,))
+                  for g in range(len(topo.group_kinds)) if g not in ends]
+        for enumerate_routes, reference, group in cases:
+            want = outcome(reference, topo, view, src, dst, *group)
+            assert outcome(enumerate_routes, topo, view, src, dst, *group) \
+                == want, (src, dst, *group)
+            changed += want != outcome(reference, topo, intact, src, dst,
+                                       *group)
+    assert bool(changed) == degraded
 
 
 # -- sweeps ----------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_structural_audit_matches_brute_force(spec):
     for g in range(len(topo.group_kinds)):
         sws = list(topo.switches_of_group(g))
         for sa, sb in itertools.combinations(sws, 2):
-            assert len(topo.local_links_between(sa, sb)) \
+            assert len(topo.links.local_between(sa, sb)) \
                 == spec.local_links_per_switch_pair
 
 
@@ -200,7 +200,7 @@ def test_link_table_matches_reference(spec):
     switches = range(topo.switch_count)
     for sa, sb in itertools.product(switches, switches):
         want = ref.local_links.get((min(sa, sb), max(sa, sb)), ())
-        assert tuple(topo.local_links_between(sa, sb)) == want, (sa, sb)
+        assert tuple(topo.links.local_between(sa, sb)) == want, (sa, sb)
 
 
 def test_link_tables_of_different_specs_differ():
