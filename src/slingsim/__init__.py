@@ -1,4 +1,4 @@
-"""slingsim: flow-level dragonfly interconnect simulator and validation harness."""
+"""slingsim: chunk-level discrete-event dragonfly fabric simulator and validation harness."""
 
 from slingsim.topology import (
     FabricAddress,

@@ -33,7 +33,13 @@ chunks until a chunk of it gets a route again.  A chunk that has retried
 Route choice consults the last routing sweep, so a failed link keeps
 attracting (and bouncing) traffic until the next sweep excludes it.  Every
 chunk of an ordered flow takes the flow's pinned route; a sweep that finds
-it unusable makes the flow re-pin once, for all its messages.
+it unusable makes the flow re-pin once, for all its messages.  The router
+owns those pins: the engine opens a flow when it issues an ordered message
+and closes it when the message resolves.
+
+A port reads its link's rate from the overlay when it is made, and again
+when the link flaps.  The engine is the overlay's only writer during a run
+(``_on_fault``), so the rate a port holds is always current.
 """
 
 from __future__ import annotations
@@ -135,7 +141,8 @@ class Port(PortState):
       are woken), and ``wake_at``, the time of its pending rate-cap wake;
     - ``delay``, the link's propagation delay;
     - ``rate``, the overlay's effective bandwidth of the link (0.0 while
-      it is unusable) as of overlay generation ``rate_gen``;
+      it is unusable), read when the port is made and when the link flaps,
+      the only overlay writes during a run;
     - ``monitored``: whether congestion management watches the port, which
       it does for the switch-to-NIC direction of an edge link in a run with
       ``SimConfig.cc_enabled`` set.
@@ -148,7 +155,7 @@ class Port(PortState):
 
     __slots__ = (
         "id", "link_id", "committed", "occ", "busy", "waiters",
-        "wake_at", "delay", "rate", "rate_gen", "monitored",
+        "wake_at", "delay", "rate", "monitored",
         "detected", "above_since", "below_since", "contributors",
         "throttled",
     )
@@ -164,8 +171,7 @@ class Port(PortState):
         self.waiters: dict | None = None  # Port or Injector -> None
         self.wake_at = INF
         self.delay = delay
-        self.rate = 0.0
-        self.rate_gen = -1
+        self.rate = 0.0  # set by Engine._read_rate
         self.monitored = monitored
         if monitored:
             self.detected = False
@@ -263,7 +269,9 @@ class Engine:
     # -- setup -----------------------------------------------------------------
 
     def inject_fault(self, link: int, t_down: float, duration: float):
-        """Schedule a link flap: down at ``t_down`` for ``duration`` seconds."""
+        """Schedule a link flap: down at ``t_down`` for ``duration`` seconds.
+        Two flaps of one link must not overlap, or the first one's end would
+        bring the link back up inside the second."""
         if not 0 <= link < len(self.topo.links):
             raise SimConfigError(f"unknown link {link}")
         if not 0 <= t_down < INF:
@@ -271,13 +279,25 @@ class Engine:
                 f"fault time must be finite and >= 0, got {t_down}")
         if not duration > 0:
             raise SimConfigError("fault duration must be > 0")
+        for t, other, d in self._faults:
+            if other == link and t < t_down + duration and t_down < t + d:
+                raise SimConfigError(
+                    f"fault on link {link} down [{t_down}, {t_down + duration})"
+                    f" s overlaps its fault down [{t}, {t + d}) s")
         self._faults.append((t_down, link, duration))
 
     def load(self, placement, schedule) -> None:
         """Install a workload: one message per schedule entry, released per
         phase-barrier rules and the per-rank outstanding window.  A message
-        must carry a byte: arbitration never serves a lone chunk of none."""
+        must carry a byte: arbitration never serves a lone chunk of none.
+        An engine runs one workload, so it takes one load, and a load that
+        raises installs nothing."""
         n = placement.ranks
+        if self._rank_queues:
+            raise SimConfigError("the engine already holds a workload")
+        tc = schedule.traffic_class
+        if tc not in self.profile.configs:
+            raise SimConfigError(f"unknown traffic class {tc}")
         if schedule.barrier not in BARRIERS:
             raise SimConfigError(f"unknown barrier {schedule.barrier!r}")
         if schedule.window < 0:
@@ -286,40 +306,42 @@ class Engine:
                 0 <= ep < self.topo.total_endpoints
                 for ep in placement.endpoint_of):
             raise SimConfigError("placement needs one fabric endpoint per rank")
-        self._barrier = schedule.barrier
-        self._window = schedule.window or DEFAULT_WINDOW
-        self._rank_queues = [[] for _ in range(n)]
-        self._outstanding = [0] * n
-        self._rank_next = [0] * n
         phases = schedule.phases
-        self._rank_left = [[0] * len(phases) for _ in range(n)]
-        self._phase_left = [0] * len(phases)
+        messages: list[Message] = []
+        queues: list[list[Message]] = [[] for _ in range(n)]
+        rank_left = [[0] * len(phases) for _ in range(n)]
+        phase_left = [0] * len(phases)
         for p, phase in enumerate(phases):
             for (src_rank, dst_rank, size, ordered) in phase.messages:
                 if not (0 <= src_rank < n and 0 <= dst_rank < n):
                     raise SimConfigError(f"rank out of range in phase {p}")
                 if not size >= 1:
                     raise SimConfigError(f"message size {size} < 1 in phase {p}")
-                tc = schedule.traffic_class
-                if tc not in self.profile.configs:
-                    raise SimConfigError(f"unknown traffic class {tc}")
                 msg = Message(
-                    id=len(self.messages),
+                    id=len(messages),
                     src=placement.endpoint_of[src_rank],
                     dst=placement.endpoint_of[dst_rank],
                     size=size, traffic_class=tc, ordered=ordered, phase=p,
                     src_rank=src_rank, dst_rank=dst_rank)
-                self.messages.append(msg)
-                self._rank_queues[src_rank].append(msg)
-                self._rank_left[src_rank][p] += 1
+                messages.append(msg)
+                queues[src_rank].append(msg)
+                rank_left[src_rank][p] += 1
                 if dst_rank != src_rank:
-                    self._rank_left[dst_rank][p] += 1
-                self._phase_left[p] += 1
+                    rank_left[dst_rank][p] += 1
+                phase_left[p] += 1
+        if messages and not self.config.duration_s > 0:
+            raise SimConfigError("duration_s must be > 0 for a nonempty workload")
+        self._barrier = schedule.barrier
+        self._window = schedule.window or DEFAULT_WINDOW
+        self.messages = messages
+        self._rank_queues = queues
+        self._outstanding = [0] * n
+        self._rank_next = [0] * n
+        self._rank_left = rank_left
+        self._phase_left = phase_left
         self._rank_phase = [0] * n
         self._advance_phases(range(n))  # past phases with nothing to wait for
-        self.unresolved = len(self.messages)
-        if self.messages and not self.config.duration_s > 0:
-            raise SimConfigError("duration_s must be > 0 for a nonempty workload")
+        self.unresolved = len(messages)
 
     # -- event plumbing -----------------------------------------------------------
 
@@ -340,15 +362,15 @@ class Engine:
             pid, self.profile,
             spec.endpoint_latency if edge else spec.per_hop_latency,
             edge and direction == 1 and self.config.cc_enabled)
+        self._read_rate(port)
         if port.monitored:
             self.monitored[pid] = port
         return port
 
-    def _refresh_rate(self, port: Port) -> None:
-        """Re-read ``port.rate`` from the overlay; callers skip this while
-        ``port.rate_gen`` matches the overlay's generation."""
+    def _read_rate(self, port: Port) -> None:
+        """Set ``port.rate`` from the overlay: the link's effective
+        bandwidth, or 0.0 while it is unusable."""
         overlay = self.overlay
-        port.rate_gen = overlay.generation
         port.rate = overlay.effective_bandwidth(port.link_id) \
             if overlay.link_usable(port.link_id) else 0.0
 
@@ -362,7 +384,7 @@ class Engine:
     @staticmethod
     def _build_path(src: int, dst: int, route: Route,
                     topo: Topology) -> tuple[int, ...]:
-        return (port_id(topo.edge_link_of_endpoint(src), 0), *route.ports,
+        return (port_id(topo.edge_link_of_endpoint(src), 0), *route,
                 port_id(topo.edge_link_of_endpoint(dst), 1))
 
     # -- run loop ----------------------------------------------------------------
@@ -446,14 +468,8 @@ class Engine:
     def _issue(self, msg: Message) -> None:
         msg.issue_time = self.now
         if msg.ordered:
-            # pin at issue; a flow without a route re-pins at its first chunk
-            try:
-                self.router.select_route(
-                    msg.src, msg.dst, msg.traffic_class, True, self.view)
-            except NoRouteError:
-                pass
-            self.router.flow_table.add_pending(
-                (msg.src, msg.dst, msg.traffic_class))
+            self.router.open_flow(msg.src, msg.dst, msg.traffic_class,
+                                  self.view)
         inj = self._injector(msg.src)
         inj.active.append(msg)
         self._run_injector(inj)
@@ -463,7 +479,7 @@ class Engine:
         msg.done = True
         self.unresolved -= 1
         if msg.ordered:
-            self.router.flow_table.release((msg.src, msg.dst, msg.traffic_class))
+            self.router.close_flow(msg.src, msg.dst, msg.traffic_class)
         rank = msg.src_rank
         self._outstanding[rank] -= 1
         p = msg.phase
@@ -626,8 +642,6 @@ class Engine:
     def _kick_port(self, port: Port) -> None:
         if port.busy is not None:
             return
-        if port.rate_gen != self.overlay.generation:
-            self._refresh_rate(port)
         rate = port.rate
         if not rate:
             return
@@ -683,8 +697,6 @@ class Engine:
         if port.waiters:
             self._wake_waiters(port)
 
-        if port.rate_gen != self.overlay.generation:
-            self._refresh_rate(port)
         if not port.rate or self.link_gen \
                 and self.link_gen.get(link_id, 0) != chunk.tx_gen:
             self._lose_chunk(chunk, chunk.hop + 1, link_id)
@@ -724,8 +736,6 @@ class Engine:
             self._deliver(chunk)
             return
         port = self.ports[path[hop]]  # the chunk's credit keeps it active
-        if port.rate_gen != self.overlay.generation:
-            self._refresh_rate(port)
         if not port.rate:
             # next link died while the chunk was in flight toward it
             self._lose_chunk(chunk, hop, port.link_id)
@@ -803,24 +813,23 @@ class Engine:
 
     def _on_fault(self, link_id: int, action: str, duration: float) -> None:
         self._pending_faults -= 1
-        link = self.topo.links[link_id]
+        self.overlay.set_link_state(link_id, status=action)
+        ports = [port for d in (0, 1)
+                 if (port := self.ports.get(port_id(link_id, d))) is not None]
+        for port in ports:
+            self._read_rate(port)
         if action == "down":
-            self.overlay.set_link_state(link_id, status="down")
+            link = self.topo.links[link_id]
             self.link_gen[link_id] = self.link_gen.get(link_id, 0) + 1
             node = self.topo.node_of_endpoint(link.endpoint) \
                 if link.kind == EDGE else -1
             self.flap_events.append(
                 FlapEvent(link_id, link.kind, node, self.now, duration))
-            for d in (0, 1):
-                port = self.ports.get(port_id(link_id, d))
-                if port is not None:
-                    self._flush_port(port)
+            for port in ports:
+                self._flush_port(port)
         else:
-            self.overlay.set_link_state(link_id, status="up")
-            for d in (0, 1):
-                port = self.ports.get(port_id(link_id, d))
-                if port is not None:
-                    self._kick_port(port)
+            for port in ports:
+                self._kick_port(port)
 
     def _flush_port(self, port: Port) -> None:
         """Lose every chunk ``port`` drains and wake its waiters."""

@@ -19,10 +19,11 @@ detour crosses two global links, so its (cost, weight) is at least
 route of weight at most 3 x bias does, the remaining detours are neither
 enumerated nor scored, and the choice is the same as scoring them all.
 
-A route is the tuple of directed port ids (``topology.port_id``) it
-travels, and the congestion view is keyed by the same ids, so the engine
-splices a route into a chunk's path as is and scoring a candidate takes one
-lookup per hop.
+A route (``Route``, an alias of ``tuple[int, ...]``) is the tuple of
+directed port ids (``topology.port_id``) it travels, each port leaving the
+switch the previous one reached, and the congestion view is keyed by the
+same ids, so the engine splices a route into a chunk's path as is and
+scoring a candidate takes one lookup per hop.
 
 Route sets are recomputed by periodic sweeps: enumeration consults the last
 swept snapshot of link states, not the live overlay, so a link that flaps
@@ -35,7 +36,6 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable
 
 from slingsim.topology import StateOverlay, Topology, port_id, port_key
 
@@ -48,18 +48,7 @@ class NoRouteError(RoutingError):
     """All candidate links between the pair are down or in maintenance."""
 
 
-@dataclass(frozen=True, slots=True)
-class Route:
-    """An ordered sequence of fabric hops between two switches.
-
-    ``ports[i]`` is the directed port id (``topology.port_id``) of hop i;
-    each port leaves the switch the previous one reached.
-    ``intermediate_group`` is the detour group of a non-minimal route and
-    None for a minimal one.
-    """
-
-    ports: tuple[int, ...]
-    intermediate_group: int | None = None
+Route = tuple[int, ...]  # directed port ids, hop by hop
 
 
 @dataclass(slots=True)
@@ -97,51 +86,7 @@ class CongestionView:
             raise RoutingError("congestion view entries must be non-negative")
 
     def route_max_occupancy(self, route: Route) -> float:
-        return max(map(self._occ.get, route.ports, _ZEROS), default=0.0)
-
-
-class FlowTable:
-    """Pinned routes for ordered traffic, keyed by (src, dst, class).
-
-    An entry lives only while its pending-traffic count is positive; its
-    route is None while the flow has no usable route.
-    """
-
-    def __init__(self):
-        self._entries: dict[tuple, list] = {}  # key -> [route, pending]
-
-    def pinned(self, key) -> Route | None:
-        ent = self._entries.get(key)
-        return ent[0] if ent and ent[1] > 0 else None
-
-    def pin(self, key, route: Route) -> None:
-        """Pin ``route`` for ``key``, keeping the flow's pending count."""
-        self._entries.setdefault(key, [None, 0])[0] = route
-
-    def repin(self, key, decide: Callable[[], Route]) -> Route:
-        """Pin ``decide()`` for ``key`` in place of its current route.  The
-        old pin is dropped first, so a ``decide`` that raises leaves the
-        flow unpinned, with its pending count."""
-        ent = self._entries.get(key)
-        if ent is not None:
-            ent[0] = None
-        route = decide()
-        self.pin(key, route)
-        return route
-
-    def add_pending(self, key) -> None:
-        self._entries.setdefault(key, [None, 0])[1] += 1
-
-    def release(self, key) -> None:
-        ent = self._entries.get(key)
-        if ent is None:
-            return
-        ent[1] -= 1
-        if ent[1] <= 0:
-            del self._entries[key]
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return max(map(self._occ.get, route, _ZEROS), default=0.0)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -161,12 +106,12 @@ def _usable_globals(topo: Topology, view, ga: int, gb: int) -> list[int]:
 
 
 def _join(topo: Topology, view, at: int, legs: tuple[int, ...],
-          dst: int) -> tuple[int, ...] | None:
-    """Port ids of the route from switch ``at`` over the global links
-    ``legs``, in order, to switch ``dst``, or None when a local hop it
-    needs has no usable link.  Each leg leaves from its end in the current
-    group; each change of switch inside a group, to reach a leg or ``dst``,
-    takes the first usable local link."""
+          dst: int) -> Route | None:
+    """The route from switch ``at`` over the global links ``legs``, in
+    order, to switch ``dst``, or None when a local hop it needs has no
+    usable link.  Each leg leaves from its end in the current group; each
+    change of switch inside a group, to reach a leg or ``dst``, takes the
+    first usable local link."""
     group = topo.group_of_switch
     ports: list[int] = []
     for gl in (*legs, None):
@@ -201,19 +146,19 @@ def enumerate_minimal_routes(topo: Topology, view, src_switch: int,
         NoRouteError: every candidate is down or in maintenance.
     """
     if src_switch == dst_switch:
-        return (Route(()),)
+        return ((),)
     ga = topo.group_of_switch(src_switch)
     gb = topo.group_of_switch(dst_switch)
     routes: list[Route] = []
     if ga == gb:
         for lid in topo.links.local_between(src_switch, dst_switch):
             if view.link_usable(lid):
-                routes.append(Route((_hop(topo, lid, src_switch)[0],)))
+                routes.append((_hop(topo, lid, src_switch)[0],))
     else:
         for gl in _usable_globals(topo, view, ga, gb):
-            ports = _join(topo, view, src_switch, (gl,), dst_switch)
-            if ports is not None:
-                routes.append(Route(ports))
+            route = _join(topo, view, src_switch, (gl,), dst_switch)
+            if route is not None:
+                routes.append(route)
     if not routes:
         raise NoRouteError(
             f"no usable minimal route between switches {src_switch} and {dst_switch}")
@@ -221,9 +166,8 @@ def enumerate_minimal_routes(topo: Topology, view, src_switch: int,
 
 
 def enumerate_nonminimal_routes(topo: Topology, view, src_switch: int,
-                                dst_switch: int,
-                                intermediate_group: int) -> tuple[Route, ...]:
-    """All detour routes through ``intermediate_group`` (<= 5 hops): one
+                                dst_switch: int, group: int) -> tuple[Route, ...]:
+    """All detour routes through the intermediate ``group`` (<= 5 hops): one
     per usable global link into the group and, inside that, per usable
     global link out of it toward the destination group.
 
@@ -234,22 +178,22 @@ def enumerate_nonminimal_routes(topo: Topology, view, src_switch: int,
     """
     ga = topo.group_of_switch(src_switch)
     gb = topo.group_of_switch(dst_switch)
-    if intermediate_group in (ga, gb):
+    if group in (ga, gb):
         raise RoutingError(
-            f"intermediate group {intermediate_group} must differ from "
+            f"intermediate group {group} must differ from "
             f"source group {ga} and destination group {gb}")
-    if not 0 <= intermediate_group < len(topo.group_kinds):
-        raise RoutingError(f"unknown group {intermediate_group}")
-    outs = _usable_globals(topo, view, intermediate_group, gb)
+    if not 0 <= group < len(topo.group_kinds):
+        raise RoutingError(f"unknown group {group}")
+    outs = _usable_globals(topo, view, group, gb)
     routes: list[Route] = []
-    for gl_in in _usable_globals(topo, view, ga, intermediate_group):
+    for gl_in in _usable_globals(topo, view, ga, group):
         for gl_out in outs:
-            ports = _join(topo, view, src_switch, (gl_in, gl_out), dst_switch)
-            if ports is not None:
-                routes.append(Route(ports, intermediate_group))
+            route = _join(topo, view, src_switch, (gl_in, gl_out), dst_switch)
+            if route is not None:
+                routes.append(route)
     if not routes:
         raise NoRouteError(
-            f"intermediate group {intermediate_group} unreachable between "
+            f"intermediate group {group} unreachable between "
             f"switches {src_switch} and {dst_switch}")
     return tuple(routes)
 
@@ -264,10 +208,9 @@ class RoutingTables:
     reflects the fabric state at sweep time.
     """
 
-    def __init__(self, topo: Topology, excluded: frozenset[int], generation: int = 0):
+    def __init__(self, topo: Topology, excluded: frozenset[int]):
         self.topo = topo
         self.excluded = excluded
-        self.generation = generation
         self._minimal: dict[tuple[int, int], tuple[Route, ...]] = {}
         self._nonminimal: dict[tuple[int, int, int], tuple[Route, ...]] = {}
 
@@ -283,12 +226,12 @@ class RoutingTables:
         return routes
 
     def nonminimal_routes(self, src_switch: int, dst_switch: int,
-                          intermediate_group: int) -> tuple[Route, ...]:
-        key = (src_switch, dst_switch, intermediate_group)
+                          group: int) -> tuple[Route, ...]:
+        key = (src_switch, dst_switch, group)
         routes = self._nonminimal.get(key)
         if routes is None:
             routes = enumerate_nonminimal_routes(
-                self.topo, self, src_switch, dst_switch, intermediate_group)
+                self.topo, self, src_switch, dst_switch, group)
             self._nonminimal[key] = routes
         return routes
 
@@ -303,15 +246,21 @@ def routing_sweep(topo: Topology, overlay: StateOverlay,
     excluded = overlay.excluded_links()
     if previous is not None and previous.excluded == excluded:
         return previous
-    gen = previous.generation + 1 if previous is not None else 0
-    return RoutingTables(topo, excluded, gen)
+    return RoutingTables(topo, excluded)
 
 
 # -- selection ----------------------------------------------------------------------
 
 
 class Router:
-    """Per-simulation route selector: swept tables + flow pinning + sampling RNG."""
+    """Per-simulation route selector: swept tables, ordered-flow pins and
+    the sampling RNG.
+
+    ``flows`` maps each open ordered flow ``(src, dst, class)`` to
+    ``[pinned route or None, pending messages]``; an entry lives while its
+    pending count is positive, and its route is None while the flow has no
+    usable route.
+    """
 
     def __init__(self, topo: Topology, overlay: StateOverlay,
                  policy: RoutingPolicy | None = None, seed: int = 0):
@@ -320,7 +269,7 @@ class Router:
         self.policy = policy or RoutingPolicy()
         self.policy.validate()
         self.tables = routing_sweep(topo, overlay)
-        self.flow_table = FlowTable()
+        self.flows: dict[tuple[int, int, int], list] = {}
         self.seed = seed
         self.rng = random.Random(seed)
         # (cost, w, route) of the best route of each route set of ``tables``
@@ -355,38 +304,65 @@ class Router:
                      view: CongestionView | None = None) -> Route:
         """Pick a route for one chunk (unordered) or one flow (ordered).
 
-        Ordered traffic reuses the pinned route while the flow has pending
-        traffic and the last sweep finds the route usable; otherwise the
-        decision is made fresh and pinned for the whole flow.  Adaptive
-        decisions rank candidates by congestion-weighted cost; minimal-only
-        mode considers minimal candidates exclusively.
+        Ordered traffic of an open flow reuses the pinned route while the
+        last sweep finds it usable; otherwise the decision is made fresh and
+        pinned for the whole flow.  An ordered decision for a flow that is
+        not open pins nothing.  Adaptive decisions rank candidates by
+        congestion-weighted cost; minimal-only mode considers minimal
+        candidates exclusively.
         """
-        key = (src_endpoint, dst_endpoint, traffic_class)
-        if ordered:
-            pinned = self.flow_table.pinned(key)
-            if pinned is not None:
-                if self.route_usable(pinned):
-                    return pinned
-                return self.repin(src_endpoint, dst_endpoint, traffic_class,
-                                  view)
-        view = view or CongestionView()
-        route = self._decide(src_endpoint, dst_endpoint, view)
-        if ordered:
-            self.flow_table.pin(key, route)
+        flow = self.flows.get((src_endpoint, dst_endpoint, traffic_class)) \
+            if ordered else None
+        if flow is not None and flow[0] is not None:
+            if self.route_usable(flow[0]):
+                return flow[0]
+            return self.repin(src_endpoint, dst_endpoint, traffic_class, view)
+        route = self._decide(src_endpoint, dst_endpoint,
+                             view or CongestionView())
+        if flow is not None:
+            flow[0] = route
         return route
 
     def repin(self, src_endpoint: int, dst_endpoint: int, traffic_class: int,
               view: CongestionView | None = None) -> Route:
         """Drop a stale pin (e.g. its route lost a link) and decide afresh,
-        keeping the flow's pending count."""
-        return self.flow_table.repin(
-            (src_endpoint, dst_endpoint, traffic_class),
-            lambda: self._decide(src_endpoint, dst_endpoint,
-                                 view or CongestionView()))
+        keeping the flow's pending count.  The old pin is dropped first, so
+        a decision that raises leaves the flow unpinned."""
+        flow = self.flows.get((src_endpoint, dst_endpoint, traffic_class))
+        if flow is not None:
+            flow[0] = None
+        route = self._decide(src_endpoint, dst_endpoint,
+                             view or CongestionView())
+        if flow is not None:
+            flow[0] = route
+        return route
+
+    def open_flow(self, src_endpoint: int, dst_endpoint: int,
+                  traffic_class: int, view: CongestionView | None = None) -> None:
+        """Count one more pending message on an ordered flow and pin its
+        route; a flow without a usable route stays unpinned and pins at its
+        next ordered decision."""
+        self.flows.setdefault(
+            (src_endpoint, dst_endpoint, traffic_class), [None, 0])[1] += 1
+        try:
+            self.select_route(src_endpoint, dst_endpoint, traffic_class, True,
+                              view)
+        except NoRouteError:
+            pass
+
+    def close_flow(self, src_endpoint: int, dst_endpoint: int,
+                   traffic_class: int) -> None:
+        """Count one pending message of an open flow done; the flow and its
+        pin go at zero."""
+        key = (src_endpoint, dst_endpoint, traffic_class)
+        flow = self.flows[key]
+        flow[1] -= 1
+        if not flow[1]:
+            del self.flows[key]
 
     def route_usable(self, route: Route) -> bool:
         usable = self.tables.link_usable
-        return all(usable(port_key(p)[0]) for p in route.ports)
+        return all(usable(port_key(p)[0]) for p in route)
 
     def _decide(self, src_endpoint: int, dst_endpoint: int,
                 view: CongestionView) -> Route:
@@ -460,7 +436,7 @@ def _best(routes: tuple[Route, ...], weight: float, view: CongestionView):
     score = view.route_max_occupancy
     best = None
     for r in routes:
-        w = weight * (len(r.ports) + 1)
+        w = weight * (len(r) + 1)
         cost = w * score(r)
         if best is None or cost < best_cost or (
                 cost == best_cost and w < best_w):

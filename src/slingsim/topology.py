@@ -450,14 +450,12 @@ class LinkState:
 class StateOverlay:
     """Sparse mutable link-state layer over an immutable Topology.
 
-    Only links that differ from (up, all lanes) are stored.  ``generation``
-    increments on every change so consumers can detect staleness.
+    Only links that differ from (up, all lanes) are stored.
     """
 
     def __init__(self, topo: Topology):
         self.topo = topo
         self._states: dict[int, LinkState] = {}
-        self.generation = 0
 
     def state(self, link: int) -> LinkState:
         st = self._states.get(link)
@@ -482,7 +480,6 @@ class StateOverlay:
             self._states.pop(link, None)
         else:
             self._states[link] = LinkState(new_status, new_lanes)
-        self.generation += 1
         return self
 
     def link_usable(self, link: int) -> bool:

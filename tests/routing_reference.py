@@ -7,15 +7,33 @@ enumerators against this copy, route for route and in order, because route
 order sets the candidate indices that break selection ties; do not edit it
 to follow later changes of ``slingsim.routing``.
 
-The code is verbatim except for two names the topology no longer has:
+The code is verbatim except for three names ``slingsim`` no longer has:
 ``topo.links.local_between`` stands for ``Topology.local_links_between``,
-which only forwarded to it, and ``_peer`` for ``Link.peer``.
+which only forwarded to it, ``_peer`` for ``Link.peer``, and ``Route`` below
+for the ``slingsim.routing.Route`` dataclass of that time, which is now the
+plain tuple of its ``ports``.
 """
 
 from __future__ import annotations
 
-from slingsim.routing import NoRouteError, Route, RoutingError
+from dataclasses import dataclass
+
+from slingsim.routing import NoRouteError, RoutingError
 from slingsim.topology import Topology, port_id
+
+
+@dataclass(frozen=True, slots=True)
+class Route:
+    """An ordered sequence of fabric hops between two switches.
+
+    ``ports[i]`` is the directed port id (``topology.port_id``) of hop i;
+    each port leaves the switch the previous one reached.
+    ``intermediate_group`` is the detour group of a non-minimal route and
+    None for a minimal one.
+    """
+
+    ports: tuple[int, ...]
+    intermediate_group: int | None = None
 
 
 def _peer(link, switch: int) -> int:

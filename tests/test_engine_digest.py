@@ -110,8 +110,8 @@ def run(workload, cc: bool = True, mode: str = "adaptive", flaps=(),
 
 def run_loaded(engine: Engine, workload):
     """Load ``workload`` into ``engine`` and run it within the host-time
-    budget; bytes must balance, every credit pool must drain and no port
-    may still hold a waiter."""
+    budget; bytes must balance, every credit pool must drain, no port may
+    still hold a waiter and the router may hold no open ordered flow."""
     engine.load(*workload)
     previous = signal.signal(signal.SIGALRM, _out_of_time)
     signal.setitimer(signal.ITIMER_REAL, RUN_BUDGET_S)
@@ -124,6 +124,7 @@ def run_loaded(engine: Engine, workload):
     for key, port in engine.ports.items():
         assert not any(port.committed) and port.occ == 0, key
         assert not port.waiters, key
+    assert engine.router.flows == {}
     return report
 
 

@@ -45,7 +45,7 @@ def test_no_route_fails_after_max_retries():
     one timeout each on its source edge link, ``RETRY_TIMEOUT_S`` apart;
     then it fails its message.  The message releases no other chunk
     meanwhile.  Two of the messages share one ordered flow, whose pending
-    count must still drain the flow table."""
+    count must still close the flow."""
     cfg = SimConfig()
     engine, report = run(NO_ROUTE_WORKLOAD, down=globals_of_group_0)
     assert all(m.failed for m in report.messages)
@@ -60,7 +60,7 @@ def test_no_route_fails_after_max_retries():
         assert {e.link for e in mine} == {engine.topo.edge_link_of_endpoint(m.src)}
         gaps = [b.time - a.time for a, b in zip(mine, mine[1:])]
         assert gaps == pytest.approx([RETRY_TIMEOUT_S] * MAX_RETRIES)
-    assert len(engine.router.flow_table) == 0
+    assert engine.router.flows == {}
 
 
 def test_message_recovers_after_losing_its_route():
@@ -82,7 +82,7 @@ def test_message_recovers_after_losing_its_route():
     assert report.timeout_count == 15
     assert {i: len(e) for i, e in timeouts_by_message(report).items()} \
         == {m.id: 5 for m in report.messages}
-    assert len(engine.router.flow_table) == 0
+    assert engine.router.flows == {}
 
 
 def test_congestion_release(monkeypatch):
@@ -122,14 +122,14 @@ def test_ordered_flow_keeps_one_route(monkeypatch):
     src, dst = 0, 17
     probe = make_engine()
     pinned = probe.router.select_route(src, dst, 2, True)
-    (link,) = [port_key(p)[0] for p in pinned.ports
+    (link,) = [port_key(p)[0] for p in pinned
                if probe.topo.links[port_key(p)[0]].kind == GLOBAL]
 
     repins, routes = [], []
     repin, select = Router.repin, Router.select_route
 
     def counted(self, *args):
-        repins.append(self.tables.generation)
+        repins.append(self.tables)
         return repin(self, *args)
 
     def recorded(self, *args):
@@ -149,7 +149,7 @@ def test_ordered_flow_keeps_one_route(monkeypatch):
     assert set(after) == {routes[-1]} and routes[-1] != pinned
     assert set(routes) == {pinned, routes[-1]}
     assert report.incomplete_messages == 0 and report.timeout_count > 0
-    assert len(engine.router.flow_table) == 0
+    assert engine.router.flows == {}
 
 
 def two_phases(first, second, barrier):
@@ -169,27 +169,81 @@ def test_barrier_passes_phases_without_work(schedule):
     assert not any(m.failed for m in report.messages)
 
 
-@pytest.mark.parametrize("placement, schedule", [
-    (Placement(2, (0, 1)),
-     Schedule((Phase(((0, 1, 4 * KIB, False),)),), barrier="Global")),
-    (Placement(2, (0, 1)),
-     Schedule((Phase(((0, 1, 4 * KIB, False),)),), window=-1)),
-    (Placement(2, (0, 128)), Schedule((Phase(((0, 1, 4 * KIB, False),)),))),
-    (Placement(2, (0,)), Schedule((Phase(((0, 1, 4 * KIB, False),)),))),
-    (Placement(2, (0, 17)),
-     Schedule((Phase(((0, 1, 4 * KIB, False), (0, 1, 0, False))),))),
-    (Placement(2, (0, 17)),
-     Schedule((Phase(((0, 1, 0, False), (0, 1, 0, False))),))),
-    (Placement(2, (0, 17)), Schedule((Phase(((0, 1, -1, False),)),))),
+def loads(*workloads):
+    """Bad input: ``workloads`` loaded into one engine in turn."""
+    def load_all(engine):
+        for workload in workloads:
+            engine.load(*workload)
+    return load_all
+
+
+def overlapping_flaps(engine):
+    """Bad input: two flaps of one link, the second down while the first
+    still holds it down."""
+    link = first_global(engine.topo)
+    engine.inject_fault(link, 0.0, 10e-6)
+    engine.inject_fault(link, 5e-6, 10e-6)
+
+
+ONE_MESSAGE = (Placement(2, (0, 17)),
+               Schedule((Phase(((0, 1, 4 * KIB, False),)),)))
+
+
+@pytest.mark.parametrize("bad", [
+    loads((Placement(2, (0, 1)),
+           Schedule((Phase(((0, 1, 4 * KIB, False),)),), barrier="Global"))),
+    loads((Placement(2, (0, 1)),
+           Schedule((Phase(((0, 1, 4 * KIB, False),)),), window=-1))),
+    loads((Placement(2, (0, 128)), Schedule((Phase(((0, 1, 4 * KIB, False),)),)))),
+    loads((Placement(2, (0,)), Schedule((Phase(((0, 1, 4 * KIB, False),)),)))),
+    loads((Placement(2, (0, 17)),
+           Schedule((Phase(((0, 1, 4 * KIB, False), (0, 1, 0, False))),)))),
+    loads((Placement(2, (0, 17)),
+           Schedule((Phase(((0, 1, 0, False), (0, 1, 0, False))),)))),
+    loads((Placement(2, (0, 17)), Schedule((Phase(((0, 1, -1, False),)),)))),
+    loads((Placement(2, (0, 17)), Schedule((), traffic_class=99))),
+    loads(ONE_MESSAGE, ONE_MESSAGE),
+    overlapping_flaps,
 ], ids=["unknown_barrier", "negative_window", "endpoint_past_fabric",
         "rank_without_endpoint", "empty_message_behind_another",
-        "two_empty_messages", "negative_size"])
-def test_bad_schedule_is_rejected(placement, schedule):
-    """Among these, an empty message would cut one chunk of no bytes, which
-    arbitration never serves (it serves a class only while it has bytes
-    queued), so the message would stay incomplete to the end of the run."""
+        "two_empty_messages", "negative_size",
+        "unknown_class_without_messages", "second_load",
+        "overlapping_flaps_of_one_link"])
+def test_bad_schedule_is_rejected(bad):
+    """Bad workloads and faults fail fast with ``SimConfigError``.  An empty
+    message would cut one chunk of no bytes, which arbitration never serves
+    (it serves a class only while it has bytes queued), so the message
+    would stay incomplete to the end of the run.  A second load would keep
+    the first one's messages but drop their rank queues, so they would
+    never issue.  A flap overlapping an earlier one of its link would be
+    ended by the earlier one's end."""
     with pytest.raises(SimConfigError):
-        make_engine().load(placement, schedule)
+        bad(make_engine())
+
+
+def test_rejected_load_installs_nothing():
+    """A load that fails on its second message installs none of the
+    first, so the engine still takes one load."""
+    engine = make_engine()
+    with pytest.raises(SimConfigError):
+        engine.load(Placement(2, (0, 17)), Schedule((Phase(
+            ((0, 1, 4 * KIB, False), (0, 2, 4 * KIB, False))),)))
+    assert engine.messages == [] and engine.unresolved == 0
+    report = run_loaded(engine, ONE_MESSAGE)
+    assert len(report.messages) == 1 and report.incomplete_messages == 0
+
+
+def test_overlapping_flaps_name_the_link_and_both_windows():
+    """The error names the link and both down windows; a flap that starts
+    as another of its link ends does not overlap it."""
+    engine = make_engine()
+    link = first_global(engine.topo)
+    engine.inject_fault(link, 0.0, 10e-6)
+    engine.inject_fault(link, 10e-6, 10e-6)
+    with pytest.raises(SimConfigError,
+                       match=rf"link {link} .*\[5e-06, 1\.5.*\[0\.0, 1e-05\)"):
+        engine.inject_fault(link, 5e-6, 10e-6)
+    assert len(engine._faults) == 2
 
 
 @pytest.mark.parametrize("config", [

@@ -20,7 +20,6 @@ from slingsim import routing
 from slingsim.routing import (
     CongestionView,
     NoRouteError,
-    Route,
     Router,
     RoutingError,
     RoutingPolicy,
@@ -65,7 +64,7 @@ def walk(topo, route, src, dst):
     that each port leaves the switch the previous port reached, from switch
     ``src`` to switch ``dst``."""
     links, switches = [], [src]
-    for port in route.ports:
+    for port in route:
         link_id, d = port_key(port)
         link = topo.links[link_id]
         here, there = (link.switch_a, link.switch_b) if d == 0 \
@@ -75,6 +74,18 @@ def walk(topo, route, src, dst):
         switches.append(there)
     assert switches[-1] == dst, (route, switches)
     return tuple(links), tuple(switches)
+
+
+def detour_group(topo, route):
+    """The group ``route``'s first global hop reaches: a detour's
+    intermediate group, read off the raw link list."""
+    for port in route:
+        link_id, d = port_key(port)
+        link = topo.links[link_id]
+        if link.kind == GLOBAL:
+            return topo.group_of_switch(link.switch_b if d == 0
+                                        else link.switch_a)
+    return None
 
 
 def minimal_family_paths(topo, view, src, dst):
@@ -138,17 +149,17 @@ def test_minimal_routes_match_brute_force(spec, wrapped):
         routes = enumerate_minimal_routes(topo, view, src, dst)
         got = {walk(topo, r, src, dst)[0] for r in routes}
         assert got == want, (src, dst)
-        assert all(len(r.ports) <= 3 for r in routes)
+        assert all(len(r) <= 3 for r in routes)
         d = bfs_distance(adj, src, dst)
-        assert d is not None and d <= min(len(r.ports) for r in routes)
+        assert d is not None and d <= min(len(r) for r in routes)
         if not wrapped:
-            assert d == min(len(r.ports) for r in routes), (src, dst)
+            assert d == min(len(r) for r in routes), (src, dst)
 
 
 def test_minimal_same_switch(small_topo):
     view = StateOverlay(small_topo)
     routes = enumerate_minimal_routes(small_topo, view, 2, 2)
-    assert len(routes) == 1 and routes[0].ports == ()
+    assert routes == ((),)
 
 
 def test_minimal_intra_group_single_link(small_topo):
@@ -176,8 +187,8 @@ def test_nonminimal_structure(small_topo):
     for ig in (2, 3):
         routes = enumerate_nonminimal_routes(small_topo, view, src, dst, ig)
         for r in routes:
-            assert r.intermediate_group == ig
-            assert len(r.ports) <= 5
+            assert detour_group(small_topo, r) == ig
+            assert len(r) <= 5
             _, switches = walk(small_topo, r, src, dst)
             groups = {small_topo.group_of_switch(s) for s in switches}
             assert groups == {0, 1, ig}
@@ -192,7 +203,7 @@ def test_nonminimal_exhaustive_hop_count():
     for src in topo.switches_of_group(0):
         for dst in topo.switches_of_group(1):
             for r in enumerate_nonminimal_routes(topo, view, src, dst, 2):
-                seen.add(len(r.ports))
+                seen.add(len(r))
                 links, switches = walk(topo, r, src, dst)
                 # src-side local hop present iff src does not host the port
                 gl = topo.links[[h for h in links
@@ -219,13 +230,21 @@ def test_nonminimal_unreachable(small_topo):
         enumerate_nonminimal_routes(small_topo, view, 0, dst, 2)
 
 
-def outcome(enumerate_routes, *args):
-    """The routes ``enumerate_routes(*args)`` returns, or the message of the
-    ``NoRouteError`` it raises."""
+def outcome(enumerate_routes, topo, *args):
+    """The routes ``enumerate_routes(topo, *args)`` returns, each as its
+    ports and its detour group (None for a minimal route), or the message
+    of the ``NoRouteError`` it raises.  A reference route carries both; the
+    group of a route of ``slingsim.routing`` is derived from its ports."""
     try:
-        return enumerate_routes(*args)
+        routes = enumerate_routes(topo, *args)
     except NoRouteError as e:
         return f"NoRouteError: {e}"
+    if enumerate_routes in (routing_reference.enumerate_minimal_routes,
+                            routing_reference.enumerate_nonminimal_routes):
+        return tuple((r.ports, r.intermediate_group) for r in routes)
+    detour = enumerate_routes is enumerate_nonminimal_routes
+    return tuple((r, detour_group(topo, r) if detour else None)
+                 for r in routes)
 
 
 @pytest.mark.parametrize("degraded", [False, True])
@@ -306,7 +325,7 @@ def test_dead_link_routable_until_sweep(bench_topo):
     dst = ep_on_switch(topo, next(iter(topo.switches_of_group(1))))
 
     def globals_of(route):
-        return {port_key(p)[0] for p in route.ports
+        return {port_key(p)[0] for p in route
                 if topo.links[port_key(p)[0]].kind == GLOBAL}
 
     minimal = router.tables.minimal_routes(0, topo.switch_of_endpoint(dst))
@@ -315,9 +334,9 @@ def test_dead_link_routable_until_sweep(bench_topo):
     around = [r for r in minimal if dead not in globals_of(r)]
     assert over and around
     # load every route around the dead link, so a route over it is cheapest
-    over_ports = {p for r in over for p in r.ports}
-    busy = {p: 1e6 for r in around for p in r.ports if p not in over_ports}
-    assert all(set(r.ports) & set(busy) for r in around)
+    over_ports = {p for r in over for p in r}
+    busy = {p: 1e6 for r in around for p in r if p not in over_ports}
+    assert all(set(r) & set(busy) for r in around)
     views = (CongestionView(busy), CongestionView())
 
     overlay.set_link_state(dead, status="down")
@@ -341,7 +360,8 @@ def test_zero_occupancy_prefers_minimal(small_topo):
     src = ep_on_switch(small_topo, 0)
     dst = ep_on_switch(small_topo, next(iter(small_topo.switches_of_group(1))))
     r = router.select_route(src, dst, 0, ordered=False)
-    assert r.intermediate_group is None
+    assert r in router.tables.minimal_routes(
+        small_topo.switch_of_endpoint(src), small_topo.switch_of_endpoint(dst))
 
 
 def test_minimal_only_and_adaptive_agree_idle(small_topo):
@@ -364,11 +384,11 @@ def test_saturated_minimal_detours(small_topo):
     occ = {}
     src_sw = small_topo.switch_of_endpoint(src)
     for r in router.tables.minimal_routes(src_sw, dst_sw):
-        for port in r.ports:
+        for port in r:
             occ[port] = 10_000_000.0
     view = CongestionView(occ)
     r = router.select_route(src, dst, 0, ordered=False, view=view)
-    assert r.intermediate_group is not None
+    assert r not in router.tables.minimal_routes(src_sw, dst_sw)
 
 
 def test_ordered_flow_pinning(small_topo):
@@ -376,27 +396,44 @@ def test_ordered_flow_pinning(small_topo):
     src = ep_on_switch(small_topo, 0)
     dst = ep_on_switch(small_topo, 9)
     key = (src, dst, 0)
-    r1 = router.select_route(src, dst, 0, ordered=True)
-    router.flow_table.add_pending(key)
-    # second message while the first is pending: identical object
-    r2 = router.select_route(src, dst, 0, ordered=True)
-    assert r2 is r1
-    router.flow_table.add_pending(key)
-    router.flow_table.release(key)
+    router.open_flow(src, dst, 0)
+    r1 = router.flows[key][0]
+    assert r1 is not None
+    # a chunk of the open flow: identical object
+    assert router.select_route(src, dst, 0, ordered=True) is r1
+    router.open_flow(src, dst, 0)  # second message while the first is pending
+    assert router.flows[key] == [r1, 2]
+    router.close_flow(src, dst, 0)
     r3 = router.select_route(src, dst, 0, ordered=True)
     assert r3 is r1  # one message still pending
-    router.flow_table.release(key)
-    assert router.flow_table.pinned(key) is None  # pin dropped at zero
+    router.close_flow(src, dst, 0)
+    assert router.flows == {}  # pin dropped at zero
 
 
 def test_ordered_unordered_do_not_share_pins(small_topo):
     router = Router(small_topo, StateOverlay(small_topo), RoutingPolicy(), seed=2)
     src = ep_on_switch(small_topo, 0)
     dst = ep_on_switch(small_topo, 9)
+    router.open_flow(src, dst, 0)
+    router.select_route(src, dst, 0, ordered=False)
+    assert list(router.flows) == [(src, dst, 0)]
+    router.open_flow(src, dst, 1)
+    # per (src, dst, class)
+    assert list(router.flows) == [(src, dst, 0), (src, dst, 1)]
+
+
+def test_ordered_decision_of_a_closed_flow_pins_nothing(small_topo):
+    """Only an open flow keeps a pin: an ordered decision for a flow with
+    no pending message is made afresh each time and recorded nowhere."""
+    router = Router(small_topo, StateOverlay(small_topo), RoutingPolicy(), seed=2)
+    src = ep_on_switch(small_topo, 0)
+    dst = ep_on_switch(small_topo, 9)
     router.select_route(src, dst, 0, ordered=True)
-    assert len(router.flow_table) == 1
-    router.select_route(src, dst, 1, ordered=True)
-    assert len(router.flow_table) == 2  # per (src, dst, class)
+    assert router.flows == {}
+    router.open_flow(src, dst, 0)
+    router.close_flow(src, dst, 0)
+    router.select_route(src, dst, 0, ordered=True)
+    assert router.flows == {}
 
 
 def test_repin_keeps_pending_count(small_topo):
@@ -404,36 +441,47 @@ def test_repin_keeps_pending_count(small_topo):
     src = ep_on_switch(small_topo, 0)
     dst = ep_on_switch(small_topo, 9)
     key = (src, dst, 0)
-    router.select_route(src, dst, 0, ordered=True)
-    router.flow_table.add_pending(key)
-    router.flow_table.add_pending(key)
+    router.open_flow(src, dst, 0)
+    router.open_flow(src, dst, 0)
     route = router.repin(src, dst, 0)
-    assert router.flow_table.pinned(key) is route
-    router.flow_table.release(key)
-    assert router.flow_table.pinned(key) is route  # one still pending
-    router.flow_table.release(key)
-    assert router.flow_table.pinned(key) is None
+    assert router.flows[key] == [route, 2]
+    assert router.select_route(src, dst, 0, ordered=True) is route
+    router.close_flow(src, dst, 0)
+    assert router.flows[key] == [route, 1]  # one still pending
+    router.close_flow(src, dst, 0)
+    assert router.flows == {}
 
 
 def test_failed_repin_leaves_flow_unpinned(small_topo):
-    table = Router(small_topo, StateOverlay(small_topo), RoutingPolicy(),
-                   seed=2).flow_table
-    key = (0, 9, 0)
-    table.pin(key, Route(()))
-    table.add_pending(key)
+    """With every fabric link down after a sweep, a re-pin finds no route:
+    the flow keeps its pending count without a pin, and once the links are
+    back after a sweep, its next ordered decision pins again."""
+    overlay = StateOverlay(small_topo)
+    router = Router(small_topo, overlay, RoutingPolicy(), seed=2)
+    src = ep_on_switch(small_topo, 0)
+    dst = ep_on_switch(small_topo, 9)
+    key = (src, dst, 0)
+    router.open_flow(src, dst, 0)
+    router.open_flow(src, dst, 0)
+    assert router.flows[key][0] is not None
 
-    def no_route():
-        raise NoRouteError("all links down")
+    def set_fabric(status):
+        for lid in small_topo.fabric_link_ids():
+            overlay.set_link_state(lid, status=status)
+        router.sweep()
 
+    set_fabric("down")
     with pytest.raises(NoRouteError):
-        table.repin(key, no_route)
-    assert table.pinned(key) is None and len(table) == 1
-    # the pending count survives: a later re-pin serves the flow until its
-    # one pending message is released
-    route = table.repin(key, lambda: Route((1,)))
-    assert table.pinned(key) is route
-    table.release(key)
-    assert len(table) == 0
+        router.repin(src, dst, 0)
+    assert router.flows[key] == [None, 2]
+    router.open_flow(src, dst, 0)  # a message opened without a route
+    assert router.flows[key] == [None, 3]
+    set_fabric("up")
+    route = router.select_route(src, dst, 0, ordered=True)
+    assert router.flows[key] == [route, 3]
+    for _ in range(3):
+        router.close_flow(src, dst, 0)
+    assert router.flows == {}
 
 
 def test_argmin_scale_invariance(small_topo):
@@ -489,11 +537,20 @@ def exhaustive_pick(topo, tables, occ, src, dst, bias):
 
     def rank(i):
         route, weight = candidates[i]
-        w = weight * (len(route.ports) + 1)
-        return w * max((occ.get(p, 0.0) for p in route.ports),
+        w = weight * (len(route) + 1)
+        return w * max((occ.get(p, 0.0) for p in route),
                        default=0.0), w, i
 
     return candidates[min(range(len(candidates)), key=rank)][0]
+
+
+def is_minimal(tables, src, dst, route):
+    """Whether ``route`` is among the minimal routes between switches
+    ``src`` and ``dst`` (there are none when every one is down)."""
+    try:
+        return route in tables.minimal_routes(src, dst)
+    except NoRouteError:
+        return False
 
 
 def check_exhaustive_minimum(topo, bias, seed, per_view, monkeypatch):
@@ -534,7 +591,7 @@ def check_exhaustive_minimum(topo, bias, seed, per_view, monkeypatch):
             assert router.rng.getstate() == state
             assert pick == exhaustive_pick(topo, router.tables, occ, src_sw,
                                            dst_sw, bias)
-            detours += pick.intermediate_group is not None
+            detours += not is_minimal(router.tables, src_sw, dst_sw, pick)
     assert detours > 0
     return len(scored), len(looked_up)
 
@@ -571,10 +628,10 @@ def test_idle_fabric_can_prefer_a_detour(small_topo):
     src, dst = next(
         (s, d) for s in small_topo.switches_of_group(0)
         for d in small_topo.switches_of_group(1)
-        if all(len(r.ports) == 3 for r in router.tables.minimal_routes(s, d)))
+        if all(len(r) == 3 for r in router.tables.minimal_routes(s, d)))
     pick = router.select_route(ep_on_switch(small_topo, src),
                                ep_on_switch(small_topo, dst), 0, False)
-    assert pick.intermediate_group is not None
+    assert not is_minimal(router.tables, src, dst, pick)
     assert pick == exhaustive_pick(small_topo, router.tables, {}, src, dst, 0.5)
 
 
@@ -598,7 +655,7 @@ def test_view_rejects_negative_entries():
 
     with pytest.raises(RoutingError):
         scaled(-1.0)
-    assert scaled(0.0).route_max_occupancy(Route((3, 5))) == 0.0
+    assert scaled(0.0).route_max_occupancy((3, 5)) == 0.0
 
 
 def test_select_deterministic_tiebreak(small_topo):
