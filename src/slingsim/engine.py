@@ -220,6 +220,7 @@ class Engine:
                 f"SimConfig.seed {config.seed} differs from the router's "
                 f"seed {router.seed}")
         self.topo = topo
+        self._total_endpoints = topo.total_endpoints
         self.overlay = overlay
         self.router = router
         self.config = config
@@ -303,7 +304,7 @@ class Engine:
         if schedule.window < 0:
             raise SimConfigError("window must be >= 0")
         if len(placement.endpoint_of) < n or not all(
-                0 <= ep < self.topo.total_endpoints
+                0 <= ep < self._total_endpoints
                 for ep in placement.endpoint_of):
             raise SimConfigError("placement needs one fabric endpoint per rank")
         phases = schedule.phases
@@ -357,7 +358,7 @@ class Engine:
     def _new_port(self, pid: int) -> Port:
         spec = self.topo.spec
         link_id, direction = port_key(pid)
-        edge = link_id < self.topo.total_endpoints
+        edge = link_id < self._total_endpoints
         port = self.ports[pid] = Port(
             pid, self.profile,
             spec.endpoint_latency if edge else spec.per_hop_latency,

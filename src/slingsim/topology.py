@@ -26,9 +26,10 @@ Indices are arithmetic throughout:
 * the directed port of link ``l`` travelled in direction ``d`` has port id
   ``2 * l + d`` (see :func:`port_id`).
 
-Edge and local links are therefore computed from their ids on demand; only
-the global links, whose round-robin wiring has no closed form, are stored
-(see :class:`LinkTable`).
+Edge and local links are therefore computed from their ids.  The global
+links, whose round-robin wiring has no closed form, are stored as four int
+columns (switch and port of each end); every :class:`Link`, a global one
+included, is built on demand (see :class:`LinkTable`).
 """
 
 from __future__ import annotations
@@ -143,19 +144,22 @@ class LinkTable(Sequence[Link]):
     """The links of a fabric, indexed by link id.
 
     Edge and local links are computed from their ids by the formulas in
-    the module docstring, each call building a fresh :class:`Link`; only the
-    global links are stored.  Supports ``len``, int indexing (negative ids
-    as a tuple does; ``IndexError`` outside ``[-len, len)``), slicing (to a
-    tuple), iteration and value equality: two tables are equal when they
-    have the same geometry and the same global links.
+    the module docstring.  Global link ``k`` (id ``first_global + k``) is
+    stored as entry ``k`` of four int columns: ``switch_a``, ``port_a``,
+    ``switch_b`` and ``port_b``.  Every :class:`Link`, global ones included,
+    is built fresh on each call.  Supports ``len``, int indexing (negative
+    ids as a tuple does; ``IndexError`` outside ``[-len, len)``), slicing
+    (to a tuple), iteration and value equality: two tables are equal when
+    they have the same geometry and the same global links.
     """
 
     __slots__ = ("_eps", "_switches_per_group", "_per_pair", "_groups",
                  "_pairs", "_per_group", "_first_local", "_first_global",
-                 "_globals")
+                 "_switch_a", "_port_a", "_switch_b", "_port_b")
 
     def __init__(self, spec: TopologySpec, groups: int,
-                 global_links: tuple[Link, ...] = ()):
+                 switch_a: Sequence[int] = (), port_a: Sequence[int] = (),
+                 switch_b: Sequence[int] = (), port_b: Sequence[int] = ()):
         S = spec.switches_per_group
         self._eps = spec.endpoints_per_switch
         self._switches_per_group = S
@@ -165,10 +169,13 @@ class LinkTable(Sequence[Link]):
         self._per_group = len(self._pairs) * self._per_pair
         self._first_local = groups * S * self._eps
         self._first_global = self._first_local + groups * self._per_group
-        self._globals = global_links
+        self._switch_a = switch_a
+        self._port_a = port_a
+        self._switch_b = switch_b
+        self._port_b = port_b
 
     def __len__(self) -> int:
-        return self._first_global + len(self._globals)
+        return self._first_global + len(self._switch_a)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -180,7 +187,9 @@ class LinkTable(Sequence[Link]):
         if not 0 <= lid < n:
             raise IndexError(f"link id {key} out of range")
         if lid >= self._first_global:
-            return self._globals[lid - self._first_global]
+            k = lid - self._first_global
+            return Link(lid, GLOBAL, self._switch_a[k], self._port_a[k],
+                        self._switch_b[k], self._port_b[k])
         eps = self._eps
         if lid < self._first_local:
             sw, port = divmod(lid, eps)
@@ -204,8 +213,8 @@ class LinkTable(Sequence[Link]):
         if lid < 0:
             raise IndexError(f"link id {lid} out of range")
         if lid >= self._first_global:
-            link = self._globals[lid - self._first_global]
-            return link.switch_a, link.switch_b
+            k = lid - self._first_global
+            return self._switch_a[k], self._switch_b[k]
         if lid < self._first_local:
             sw = lid // self._eps
             return sw, sw
@@ -233,9 +242,11 @@ class LinkTable(Sequence[Link]):
         if not isinstance(other, LinkTable):
             return NotImplemented
         return (self._eps, self._switches_per_group, self._per_pair,
-                self._groups, self._globals) \
+                self._groups, self._switch_a, self._port_a, self._switch_b,
+                self._port_b) \
             == (other._eps, other._switches_per_group, other._per_pair,
-                other._groups, other._globals)
+                other._groups, other._switch_a, other._port_a,
+                other._switch_b, other._port_b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,7 +267,8 @@ class Topology:
     then storage, then service).  ``links`` is a :class:`LinkTable` indexed
     by link id: edge links occupy ids ``0..total_endpoints-1`` in endpoint
     order, then come the local links, then the global links.  Edge and local
-    links are computed from their ids; only global links are stored.
+    links are computed from their ids; global links are stored as four int
+    columns; every :class:`Link` is built on demand.
     ``global_links`` maps a group pair ``(a, b)``, ``a < b``, to the ids of
     its global links; ``links.local_between`` gives the ids of the local
     links between two switches.
@@ -365,24 +377,33 @@ def build_topology(spec: TopologySpec) -> Topology:
     n_groups = len(group_kinds)
     n_switches = n_groups * S
 
-    # precompute the global-link demand per group to fail fast on port budget
-    ports_used = [eps + (S - 1) * spec.local_links_per_switch_pair] * n_switches
-
     # edge and local links are arithmetic (see LinkTable); global ids follow
     first_global = len(LinkTable(spec, n_groups))
-    global_list: list[Link] = []
+    switch_a: list[int] = []
+    port_a: list[int] = []
+    switch_b: list[int] = []
+    port_b: list[int] = []
+    kinds = (KIND_COMPUTE, KIND_STORAGE, KIND_SERVICE)
+    multiplicity = {(a, b): _global_pair_multiplicity(spec, a, b)
+                    for a in kinds for b in kinds}
 
     # global links: iterate group pairs lexicographically; each group hands
     # out switches round-robin from its own rotating cursor
     global_links: dict[tuple[int, int], tuple[int, ...]] = {}
     cursor = [0] * n_groups
-    next_port = list(ports_used)  # next free port index per switch
+    # next free port index per switch: global ports follow edge and local
+    first_free = eps + (S - 1) * spec.local_links_per_switch_pair
+    if first_free > SWITCH_RADIX:
+        raise TopologyError(
+            f"edge and local links need {first_free} ports per switch, more "
+            f"than {SWITCH_RADIX}")
+    next_port = [first_free] * n_switches
     for ga in range(n_groups):
         for gb in range(ga + 1, n_groups):
-            m = _global_pair_multiplicity(spec, group_kinds[ga], group_kinds[gb])
+            m = multiplicity[group_kinds[ga], group_kinds[gb]]
             if m == 0:
                 continue
-            ids = []
+            start = first_global + len(switch_a)
             for _ in range(m):
                 sa = ga * S + cursor[ga] % S
                 sb = gb * S + cursor[gb] % S
@@ -396,16 +417,16 @@ def build_topology(spec: TopologySpec) -> Topology:
                         f"{SWITCH_RADIX} ports; reduce global link counts")
                 next_port[sa] = pa + 1
                 next_port[sb] = pb + 1
-                lid = first_global + len(global_list)
-                global_list.append(Link(id=lid, kind=GLOBAL, switch_a=sa,
-                                        port_a=pa, switch_b=sb, port_b=pb))
-                ids.append(lid)
-            global_links[(ga, gb)] = tuple(ids)
+                switch_a.append(sa)
+                port_a.append(pa)
+                switch_b.append(sb)
+                port_b.append(pb)
+            global_links[(ga, gb)] = tuple(range(start, start + m))
 
     return Topology(
         spec=spec,
         group_kinds=group_kinds,
-        links=LinkTable(spec, n_groups, tuple(global_list)),
+        links=LinkTable(spec, n_groups, switch_a, port_a, switch_b, port_b),
         global_links=global_links,
     )
 

@@ -1,5 +1,5 @@
-"""The full Aurora fabric: the size of its topology, and a sparse
-permutation on it.
+"""The full Aurora fabric: the size of its topology, its global links
+against the eager reference builder, and a sparse permutation on it.
 
 In the permutation, every chunk of a 16 KiB message is routed before the
 first congestion tick (2 us), so every decision sees the idle view.  There
@@ -8,24 +8,28 @@ enumerate a detour set: 256 ranks draw thousands of them without the floor.
 The permutation also bounds the memory a run keeps per port it touched.
 """
 
+import dataclasses
 import random
 
-from slingsim import routing
+from slingsim import routing, topology
 from slingsim.engine import Engine, SimConfig
 from slingsim.qos import default_profile
 from slingsim.routing import Router, RoutingPolicy
-from slingsim.topology import StateOverlay, aurora_spec, build_topology
+from slingsim.topology import Link, StateOverlay, aurora_spec, build_topology
 
 from conftest import retained_bytes
+from topology_reference import build_reference
 from test_engine_digest import KIB, Phase, Placement, Schedule, derangement, \
     run_loaded
 
 RANKS = 256
 
 # bytes the built Aurora topology may hold: edge and local links are
-# computed from their ids, so this covers the ~31k stored global links and
-# their per-group-pair index (about 8 MB); every link stored would be ~47 MB
-TOPOLOGY_BYTES = 12e6
+# computed from their ids and the ~31k global links are four int columns,
+# so this covers the columns and the per-group-pair index of global link
+# ids (about 6.3 MB); the global links as Link objects took about 8.2 MB,
+# and every link stored would be ~47 MB
+TOPOLOGY_BYTES = 7e6
 
 # bytes the sparse permutation may keep per port it made, all the run's
 # other state (messages, routes, report) included: a port with one lane,
@@ -40,6 +44,44 @@ def test_aurora_topology_stores_only_global_links():
     topo, held = retained_bytes(lambda: build_topology(aurora_spec()))
     assert held <= TOPOLOGY_BYTES
     assert len(topo.links) == 207_450
+
+
+def test_aurora_build_constructs_no_link(monkeypatch):
+    built = 0
+
+    class CountedLink(Link):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(topology, "Link", CountedLink)
+    topo = build_topology(aurora_spec())
+    assert built == 0
+    topo.links[-1]  # a global link, built on demand: the count sees it
+    assert built == 1
+
+
+def test_aurora_global_links_match_reference():
+    spec = aurora_spec()
+    topo = build_topology(spec)
+    ref = build_reference(spec)
+    links = topo.links
+    assert len(links) == len(ref.links)
+    names = [f.name for f in dataclasses.fields(Link)]
+    first_global = min(ids[0] for ids in ref.global_links.values())
+    assert first_global == topo.total_endpoints + 175 * 32 * 31 // 2
+    # the round robin fills switches up to 62 of their 64 ports
+    assert max(max(l.port_a, l.port_b) for l in ref.links[first_global:]) \
+        == 62
+    for lid in range(first_global, len(ref.links)):
+        got, want = links[lid], ref.links[lid]
+        assert [getattr(got, f) for f in names] \
+            == [getattr(want, f) for f in names], lid
+        assert links.switches(lid) == (want.switch_a, want.switch_b), lid
+    assert topo.global_links == ref.global_links
 
 
 def sparse_permutation(spec, ranks: int, size: int, seed: int):

@@ -133,6 +133,16 @@ def test_port_budget_rejected():
         build_topology(spec)
 
 
+@pytest.mark.parametrize("compute_groups", [1, 2])
+def test_edge_and_local_port_budget_rejected(compute_groups):
+    # 16 edge ports and 59 local ports on 60-switch groups: 75 > 64, also
+    # for one group, which has no global link to fail the radix check
+    spec = TopologySpec(compute_groups=compute_groups, storage_groups=0,
+                        service_groups=0, switches_per_group=60)
+    with pytest.raises(TopologyError, match="75 ports"):
+        build_topology(spec)
+
+
 def test_ports_unique_per_switch():
     topo = build_topology(small_spec(storage_groups=2, service_groups=1))
     seen = {}
