@@ -49,6 +49,7 @@ class NoRouteError(RoutingError):
 
 
 Route = tuple[int, ...]  # directed port ids, hop by hop
+Leg = tuple[int, int, int]  # a global link: (id, switch_a, switch_b)
 
 
 @dataclass(slots=True)
@@ -92,20 +93,22 @@ class CongestionView:
 # -- enumeration ---------------------------------------------------------------
 
 
-def _hop(topo: Topology, link_id: int, from_switch: int) -> tuple[int, int]:
-    """(port, to_switch) for traveling link_id out of from_switch."""
-    a, b = topo.links.switches(link_id)
-    if a == from_switch:
-        return port_id(link_id, 0), b
-    return port_id(link_id, 1), a
+def _local_port(lid: int, at: int, to: int) -> int:
+    """The port that travels local link ``lid`` from switch ``at`` to
+    switch ``to``: a local link runs from its lower switch to its higher
+    one (``LinkTable.local_between``)."""
+    return port_id(lid, 0 if at < to else 1)
 
 
-def _usable_globals(topo: Topology, view, ga: int, gb: int) -> list[int]:
-    key = (ga, gb) if ga < gb else (gb, ga)
-    return [l for l in topo.global_links.get(key, ()) if view.link_usable(l)]
+def _usable_globals(topo: Topology, view, ga: int, gb: int) -> list[Leg]:
+    """The usable global links between groups ``ga`` and ``gb`` as legs,
+    each with its switches read once."""
+    links = topo.links
+    return [(l, *links.switches(l)) for l in links.global_between(ga, gb)
+            if view.link_usable(l)]
 
 
-def _join(topo: Topology, view, at: int, legs: tuple[int, ...],
+def _join(topo: Topology, view, at: int, legs: tuple[Leg, ...],
           dst: int) -> Route | None:
     """The route from switch ``at`` over the global links ``legs``, in
     order, to switch ``dst``, or None when a local hop it needs has no
@@ -113,24 +116,26 @@ def _join(topo: Topology, view, at: int, legs: tuple[int, ...],
     change of switch inside a group, to reach a leg or ``dst``, takes the
     first usable local link."""
     group = topo.group_of_switch
+    links = topo.links
     ports: list[int] = []
-    for gl in (*legs, None):
-        if gl is None:
+    for leg in (*legs, None):
+        if leg is None:
             end = dst
         else:
-            a, b = topo.links.switches(gl)
+            gl, a, b = leg
             end = a if group(a) == group(at) else b
         if end != at:
-            for lid in topo.links.local_between(at, end):
+            for lid in links.local_between(at, end):
                 if view.link_usable(lid):
                     break
             else:
                 return None
-            port, at = _hop(topo, lid, at)
-            ports.append(port)
-        if gl is not None:
-            port, at = _hop(topo, gl, at)
-            ports.append(port)
+            ports.append(_local_port(lid, at, end))
+        if leg is not None:
+            # direction 0 leaves the link's a end
+            ports.append(port_id(gl, 0 if end == a else 1))
+            end = b if end == a else a
+        at = end
     return tuple(ports)
 
 
@@ -153,10 +158,10 @@ def enumerate_minimal_routes(topo: Topology, view, src_switch: int,
     if ga == gb:
         for lid in topo.links.local_between(src_switch, dst_switch):
             if view.link_usable(lid):
-                routes.append((_hop(topo, lid, src_switch)[0],))
+                routes.append((_local_port(lid, src_switch, dst_switch),))
     else:
-        for gl in _usable_globals(topo, view, ga, gb):
-            route = _join(topo, view, src_switch, (gl,), dst_switch)
+        for leg in _usable_globals(topo, view, ga, gb):
+            route = _join(topo, view, src_switch, (leg,), dst_switch)
             if route is not None:
                 routes.append(route)
     if not routes:
@@ -186,9 +191,10 @@ def enumerate_nonminimal_routes(topo: Topology, view, src_switch: int,
         raise RoutingError(f"unknown group {group}")
     outs = _usable_globals(topo, view, group, gb)
     routes: list[Route] = []
-    for gl_in in _usable_globals(topo, view, ga, group):
-        for gl_out in outs:
-            route = _join(topo, view, src_switch, (gl_in, gl_out), dst_switch)
+    for leg_in in _usable_globals(topo, view, ga, group):
+        for leg_out in outs:
+            route = _join(topo, view, src_switch, (leg_in, leg_out),
+                          dst_switch)
             if route is not None:
                 routes.append(route)
     if not routes:
@@ -272,6 +278,12 @@ class Router:
         self.flows: dict[tuple[int, int, int], list] = {}
         self.seed = seed
         self.rng = random.Random(seed)
+        # the indices drawn from by _sample_intermediates, one list for
+        # each count of other groups; random.sample takes a list faster
+        # than a range, whose Sequence check goes through the ABC registry
+        groups = len(topo.group_kinds)
+        self._indices = {groups - 2: list(range(groups - 2)),
+                         groups - 1: list(range(groups - 1))}
         # (cost, w, route) of the best route of each route set of ``tables``
         # scored against one view, keyed by id(route set); holding ``tables``
         # keeps the sets, and so their ids, alive.  The memo is exact for
@@ -288,16 +300,27 @@ class Router:
         self.tables = routing_sweep(self.topo, self.overlay, self.tables)
         return self.tables
 
-    # candidate intermediate groups, sampled without replacement
     def _sample_intermediates(self, ga: int, gb: int) -> list[int]:
-        pool = list(range(len(self.topo.group_kinds)))
-        del pool[max(ga, gb)]
-        if ga != gb:
-            del pool[min(ga, gb)]
-        k = min(self.policy.intermediate_samples, len(pool))
-        if k == len(pool):  # also when the pool is empty
-            return pool
-        return self.rng.sample(pool, k)
+        """Up to ``intermediate_samples`` groups other than ``ga`` and
+        ``gb``, drawn without replacement; all of them, in order and
+        without a draw, when there are no more than that.  The draw is
+        over the indices of the ascending list of those groups, which
+        ``random.sample`` draws with the same RNG calls as the list
+        itself, and each index then steps past ``ga`` and ``gb``."""
+        lo, hi = (ga, gb) if ga < gb else (gb, ga)
+        groups = len(self.topo.group_kinds)
+        # index g of the other groups is group g, plus one at or past lo and
+        # one more at or past top, hi's index once lo is left out
+        m, top = (groups - 1, groups) if lo == hi else (groups - 2, hi - 1)
+        k = min(self.policy.intermediate_samples, m)
+        if k == m:  # also when there is no other group
+            return [g for g in range(groups) if g != lo and g != hi]
+        picks = self.rng.sample(self._indices[m], k)
+        for n in range(k):  # in place: cheaper than a new list for small k
+            g = picks[n]
+            if g >= lo:
+                picks[n] = g + 1 + (g >= top)
+        return picks
 
     def select_route(self, src_endpoint: int, dst_endpoint: int,
                      traffic_class: int, ordered: bool,

@@ -23,29 +23,43 @@ Indices are arithmetic throughout:
   ``q = i * (2 * S - i - 1) // 2 + j - i - 1`` the pair's rank.  Its port is
   ``eps + (j - 1) * L + d`` on switch ``i`` and ``eps + i * L + d`` on
   switch ``j``.
+* global links follow the local links, group pair ``(a, b)`` with
+  ``a < b`` in lexicographic order, then ``i`` in ``0..m-1`` for the
+  ``m = M(a, b)`` links of the pair, where ``M`` gives the links between
+  two groups by their kinds: global link ``i`` of pair ``(a, b)`` has id
+  ``R[a] + sum(M(a, y) for a < y < b) + i``, where ``R[a]`` is the id of
+  the first link of a pair ``(a, .)``.  Each group hands out its global
+  ports round-robin in id order, so the link is global link number
+  ``c = sum(M(a, x) for x < b, x != a) + i`` of group ``a`` and number
+  ``c = sum(M(b, x) for x < a) + i`` of group ``b``, and global link
+  number ``c`` of group ``g`` sits on switch ``g * S + c % S`` at port
+  ``F + c // S``, where ``F = eps + (S - 1) * L`` is the first port after
+  the edge and local ones.
 * the directed port of link ``l`` travelled in direction ``d`` has port id
   ``2 * l + d`` (see :func:`port_id`).
 
-Edge and local links are therefore computed from their ids.  The global
-links, whose round-robin wiring has no closed form, are stored as four int
-columns (switch and port of each end); every :class:`Link`, a global one
-included, is built on demand (see :class:`LinkTable`).
+Every link is therefore computed from its id, and every :class:`Link` is
+built on demand (see :class:`LinkTable`); a topology stores no link, only
+a few integers per group.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from array import array
+from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from operator import index as as_index
-from typing import Mapping
 
 import math
+import operator
 
 SWITCH_RADIX = 64  # ports per switch; hard limit of the modeled hardware
 
 KIND_COMPUTE = "compute"
 KIND_STORAGE = "storage"
 KIND_SERVICE = "service"
+_KINDS = (KIND_COMPUTE, KIND_STORAGE, KIND_SERVICE)  # in group order
 
 EDGE = "edge"
 LOCAL = "local"
@@ -143,54 +157,114 @@ def port_key(port: int) -> tuple[int, int]:
 class LinkTable(Sequence[Link]):
     """The links of a fabric, indexed by link id.
 
-    Edge and local links are computed from their ids by the formulas in
-    the module docstring.  Global link ``k`` (id ``first_global + k``) is
-    stored as entry ``k`` of four int columns: ``switch_a``, ``port_a``,
-    ``switch_b`` and ``port_b``.  Every :class:`Link`, global ones included,
-    is built fresh on each call.  Supports ``len``, int indexing (negative
-    ids as a tuple does; ``IndexError`` outside ``[-len, len)``), slicing
-    (to a tuple), iteration and value equality: two tables are equal when
-    they have the same geometry and the same global links.
+    Every link is computed from its id by the formulas in the module
+    docstring, and every :class:`Link` is built fresh on each call.  For
+    the global links the table keeps, for each group ``g`` and each kind
+    ``k``, the block of ``g``'s row of pairs whose peers are of kind ``k``:
+    its first link id, its first peer group, its multiplicity and the
+    cursor of the peers before group ``g`` (``sum(M(k, x) for x < g)``).
+    A global id finds its block with one bisection over the block starts.
+    Supports ``len``, int indexing (negative ids as a tuple does;
+    ``IndexError`` outside ``[-len, len)``), slicing (to a tuple),
+    iteration and value equality: two tables are equal when they are wired
+    from the same parameters.
+
+    Raises:
+        TopologyError: a switch would need more than ``SWITCH_RADIX``
+            ports, checked once per group.
     """
 
     __slots__ = ("_eps", "_switches_per_group", "_per_pair", "_groups",
-                 "_pairs", "_per_group", "_first_local", "_first_global",
-                 "_switch_a", "_port_a", "_switch_b", "_port_b")
+                 "_pair_lo", "_pair_hi", "_per_group", "_first_local",
+                 "_first_global", "_first_free", "_len", "_wiring",
+                 "_kind_ends", "_block_start", "_block_peer", "_block_mult",
+                 "_block_cursor", "_own_cursor")
 
-    def __init__(self, spec: TopologySpec, groups: int,
-                 switch_a: Sequence[int] = (), port_a: Sequence[int] = (),
-                 switch_b: Sequence[int] = (), port_b: Sequence[int] = ()):
+    def __init__(self, spec: TopologySpec):
         S = spec.switches_per_group
+        counts = (spec.compute_groups, spec.storage_groups,
+                  spec.service_groups)
+        groups = sum(counts)
         self._eps = spec.endpoints_per_switch
         self._switches_per_group = S
         self._per_pair = spec.local_links_per_switch_pair
         self._groups = groups
-        self._pairs = tuple((i, j) for i in range(S) for j in range(i + 1, S))
-        self._per_group = len(self._pairs) * self._per_pair
+        # global ports follow the edge and local ones on every switch
+        self._first_free = self._eps + (S - 1) * self._per_pair
+        if self._first_free > SWITCH_RADIX:
+            raise TopologyError(
+                f"edge and local links need {self._first_free} ports per "
+                f"switch, more than {SWITCH_RADIX}")
+        free = SWITCH_RADIX - self._first_free
+        # the switches i < j of the switch pair of each rank, as two int
+        # tuples, which hold no per-pair object
+        self._pair_lo = tuple(i for i in range(S) for _ in range(i + 1, S))
+        self._pair_hi = tuple(j for i in range(S) for j in range(i + 1, S))
+        self._per_group = len(self._pair_lo) * self._per_pair
         self._first_local = groups * S * self._eps
         self._first_global = self._first_local + groups * self._per_group
-        self._switch_a = switch_a
-        self._port_a = port_a
-        self._switch_b = switch_b
-        self._port_b = port_b
+        mult = tuple(tuple(_global_pair_multiplicity(spec, a, b)
+                           for b in _KINDS) for a in _KINDS)
+        self._wiring = (self._eps, S, self._per_pair, counts, mult)
+        # the round robin spreads a group's global links evenly over its
+        # switches, so each takes ceil(degree / S) global ports
+        need = [-(-(sum(map(operator.mul, counts, row)) - row[k]) // S)
+                for k, row in enumerate(mult)]
+        # group g is of kind bisect_right(_kind_ends, g)
+        ends = self._kind_ends = (counts[0], counts[0] + counts[1], groups)
+        # block 3 * g + k holds the pairs (g, y), y > g, with y of kind k;
+        # the cursors are int arrays, so they hold no int objects
+        self._block_start: list[int] = []
+        self._block_peer: list[int] = []
+        self._block_mult: list[int] = []
+        self._block_cursor = array("q")
+        # group g's cursor of its own global link lid is _own_cursor[g] + lid
+        self._own_cursor = array("q")
+        lower = [0, 0, 0]  # sum(M(k, x) for x < g), for each kind k
+        lid = self._first_global
+        for g in range(groups):
+            kind = bisect_right(ends, g)
+            if need[kind] > free:
+                raise TopologyError(
+                    f"group {g} needs {need[kind]} global ports per switch, "
+                    f"more than the {free} ports left free by edge and local "
+                    f"links; reduce global link counts")
+            row = mult[kind]
+            self._own_cursor.append(lower[kind] - lid)
+            begin = 0
+            for k in range(3):
+                peer = max(g + 1, begin)
+                self._block_start.append(lid)
+                self._block_peer.append(peer)
+                self._block_mult.append(row[k])
+                self._block_cursor.append(lower[k])
+                lid += max(0, ends[k] - peer) * row[k]
+                begin = ends[k]
+            for k in range(3):
+                lower[k] += row[k]
+        self._len = lid
 
     def __len__(self) -> int:
-        return self._first_global + len(self._switch_a)
+        return self._len
 
     def __getitem__(self, key):
         if isinstance(key, slice):
             return tuple(map(self.__getitem__, range(*key.indices(len(self)))))
         lid = as_index(key)
-        n = len(self)
+        n = self._len
         if lid < 0:
             lid += n
         if not 0 <= lid < n:
             raise IndexError(f"link id {key} out of range")
-        if lid >= self._first_global:
-            k = lid - self._first_global
-            return Link(lid, GLOBAL, self._switch_a[k], self._port_a[k],
-                        self._switch_b[k], self._port_b[k])
         eps = self._eps
+        S = self._switches_per_group
+        if lid >= self._first_global:
+            ga, ca, gb, cb = self._global_cursors(lid)
+            pa, ca = divmod(ca, S)
+            pb, cb = divmod(cb, S)
+            first = self._first_free
+            return Link(lid, GLOBAL, ga * S + ca, first + pa,
+                        gb * S + cb, first + pb)
         if lid < self._first_local:
             sw, port = divmod(lid, eps)
             return Link(lid, EDGE, sw, port, sw, port, lid)
@@ -198,13 +272,23 @@ class LinkTable(Sequence[Link]):
         g, rank = divmod(lid - self._first_local, self._per_group)
         L = self._per_pair
         q, d = divmod(rank, L)
-        i, j = self._pairs[q]
-        base = g * self._switches_per_group
+        i, j = self._pair_lo[q], self._pair_hi[q]
+        base = g * S
         return Link(lid, LOCAL, base + i, eps + (j - 1) * L + d,
                     base + j, eps + i * L + d)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
+
+    def _global_cursors(self, lid: int) -> tuple[int, int, int, int]:
+        """``(group_a, cursor_a, group_b, cursor_b)`` of the global link
+        ``lid`` in ``[first_global, len)``: each end's group and the
+        number of that group's global links before it."""
+        j = bisect_right(self._block_start, lid) - 1
+        g = j // 3
+        q, i = divmod(lid - self._block_start[j], self._block_mult[j])
+        return (g, self._own_cursor[g] + lid,
+                self._block_peer[j] + q, self._block_cursor[j] + i)
 
     def switches(self, lid: int) -> tuple[int, int]:
         """``(switch_a, switch_b)`` of link ``lid`` without building its
@@ -213,19 +297,24 @@ class LinkTable(Sequence[Link]):
         if lid < 0:
             raise IndexError(f"link id {lid} out of range")
         if lid >= self._first_global:
-            k = lid - self._first_global
-            return self._switch_a[k], self._switch_b[k]
+            if lid >= self._len:
+                raise IndexError(f"link id {lid} out of range")
+            ga, ca, gb, cb = self._global_cursors(lid)
+            S = self._switches_per_group
+            return ga * S + ca % S, gb * S + cb % S
         if lid < self._first_local:
             sw = lid // self._eps
             return sw, sw
         g, rank = divmod(lid - self._first_local, self._per_group)
-        i, j = self._pairs[rank // self._per_pair]
+        q = rank // self._per_pair
         base = g * self._switches_per_group
-        return base + i, base + j
+        return base + self._pair_lo[q], base + self._pair_hi[q]
 
     def local_between(self, sa: int, sb: int) -> range:
         """Ids of the local links between switches ``sa`` and ``sb``, in
-        either order; empty across groups and for the same switch."""
+        either order; empty across groups and for the same switch.  Each
+        runs from the lower of the two switches (its ``a`` end) to the
+        higher one."""
         S = self._switches_per_group
         g, i = divmod(sa, S)
         gb, j = divmod(sb, S)
@@ -238,15 +327,62 @@ class LinkTable(Sequence[Link]):
                  + (i * (2 * S - i - 1) // 2 + j - i - 1) * L)
         return range(start, start + L)
 
+    def global_between(self, ga: int, gb: int) -> range:
+        """Ids of the global links between groups ``ga`` and ``gb``, in
+        either order; empty for the same group, for a group out of range
+        and for kinds that get no direct link."""
+        if ga > gb:
+            ga, gb = gb, ga
+        if not 0 <= ga < gb < self._groups:
+            return range(0)
+        j = 3 * ga + bisect_right(self._kind_ends, gb)
+        m = self._block_mult[j]
+        start = self._block_start[j] + (gb - self._block_peer[j]) * m
+        return range(start, start + m)
+
+    def _global_pairs(self):
+        """The group pairs ``(a, b)``, ``a < b``, joined by global links,
+        in lexicographic order."""
+        ends = self._kind_ends
+        for j, (peer, m) in enumerate(zip(self._block_peer,
+                                          self._block_mult)):
+            if m:
+                g = j // 3
+                for gb in range(peer, ends[j % 3]):
+                    yield g, gb
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinkTable):
             return NotImplemented
-        return (self._eps, self._switches_per_group, self._per_pair,
-                self._groups, self._switch_a, self._port_a, self._switch_b,
-                self._port_b) \
-            == (other._eps, other._switches_per_group, other._per_pair,
-                other._groups, other._switch_a, other._port_a,
-                other._switch_b, other._port_b)
+        return self._wiring == other._wiring
+
+
+class GlobalLinks(Mapping[tuple[int, int], tuple[int, ...]]):
+    """Read-only map from each group pair ``(a, b)``, ``a < b``, joined by
+    global links to the tuple of their ids, in lexicographic pair order.
+    Each tuple is computed on lookup (:meth:`LinkTable.global_between`);
+    a pair with ``a >= b``, a group out of range or no link is absent."""
+
+    __slots__ = ("_links",)
+
+    def __init__(self, links: LinkTable):
+        self._links = links
+
+    def __getitem__(self, key: tuple[int, int]) -> tuple[int, ...]:
+        try:
+            ga, gb = map(as_index, key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        ids = self._links.global_between(ga, gb) if ga < gb else ()
+        if not ids:
+            raise KeyError(key)
+        return tuple(ids)
+
+    def __iter__(self):
+        return self._links._global_pairs()
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,18 +402,18 @@ class Topology:
     ``group_kinds[g]`` gives the kind of group g (compute groups come first,
     then storage, then service).  ``links`` is a :class:`LinkTable` indexed
     by link id: edge links occupy ids ``0..total_endpoints-1`` in endpoint
-    order, then come the local links, then the global links.  Edge and local
-    links are computed from their ids; global links are stored as four int
-    columns; every :class:`Link` is built on demand.
-    ``global_links`` maps a group pair ``(a, b)``, ``a < b``, to the ids of
-    its global links; ``links.local_between`` gives the ids of the local
-    links between two switches.
+    order, then come the local links, then the global links.  Every link
+    is computed from its id, and every :class:`Link` is built on demand.
+    ``global_links`` (a :class:`GlobalLinks`) maps a group pair ``(a, b)``,
+    ``a < b``, to the ids of its global links; ``links.local_between`` and
+    ``links.global_between`` give the ids of the links between two
+    switches or two groups as a range.
     """
 
     spec: TopologySpec
     group_kinds: tuple[str, ...]
     links: LinkTable
-    global_links: Mapping[tuple[int, int], tuple[int, ...]]  # (grp_a, grp_b) a<b
+    global_links: GlobalLinks
 
     # -- arithmetic helpers -------------------------------------------------
 
@@ -355,80 +491,24 @@ def _global_pair_multiplicity(spec: TopologySpec, kind_a: str, kind_b: str) -> i
 def build_topology(spec: TopologySpec) -> Topology:
     """Instantiate the dragonfly graph described by ``spec``.
 
-    Construction order fixes the numbering: edge links first (id == endpoint
-    id), then local links group by group, then global links over group pairs
-    in lexicographic order.  Global link endpoints rotate round-robin over
-    the switches of each group so no switch runs out of ports before its
-    peers.
+    The numbering is fixed by the formulas in the module docstring: edge
+    links first (id == endpoint id), then local links group by group, then
+    global links over group pairs in lexicographic order.  Global link
+    endpoints rotate round-robin over the switches of each group so no
+    switch runs out of ports before its peers.  Set-up takes time and
+    memory in the number of groups, not links.
 
     Raises:
         TopologyError: if the spec is invalid or any switch would need more
             than SWITCH_RADIX ports.
     """
     spec.validate()
-    S = spec.switches_per_group
-    eps = spec.endpoints_per_switch
-
-    group_kinds = tuple(
-        [KIND_COMPUTE] * spec.compute_groups
-        + [KIND_STORAGE] * spec.storage_groups
-        + [KIND_SERVICE] * spec.service_groups
-    )
-    n_groups = len(group_kinds)
-    n_switches = n_groups * S
-
-    # edge and local links are arithmetic (see LinkTable); global ids follow
-    first_global = len(LinkTable(spec, n_groups))
-    switch_a: list[int] = []
-    port_a: list[int] = []
-    switch_b: list[int] = []
-    port_b: list[int] = []
-    kinds = (KIND_COMPUTE, KIND_STORAGE, KIND_SERVICE)
-    multiplicity = {(a, b): _global_pair_multiplicity(spec, a, b)
-                    for a in kinds for b in kinds}
-
-    # global links: iterate group pairs lexicographically; each group hands
-    # out switches round-robin from its own rotating cursor
-    global_links: dict[tuple[int, int], tuple[int, ...]] = {}
-    cursor = [0] * n_groups
-    # next free port index per switch: global ports follow edge and local
-    first_free = eps + (S - 1) * spec.local_links_per_switch_pair
-    if first_free > SWITCH_RADIX:
-        raise TopologyError(
-            f"edge and local links need {first_free} ports per switch, more "
-            f"than {SWITCH_RADIX}")
-    next_port = [first_free] * n_switches
-    for ga in range(n_groups):
-        for gb in range(ga + 1, n_groups):
-            m = multiplicity[group_kinds[ga], group_kinds[gb]]
-            if m == 0:
-                continue
-            start = first_global + len(switch_a)
-            for _ in range(m):
-                sa = ga * S + cursor[ga] % S
-                sb = gb * S + cursor[gb] % S
-                cursor[ga] += 1
-                cursor[gb] += 1
-                pa, pb = next_port[sa], next_port[sb]
-                if pa >= SWITCH_RADIX or pb >= SWITCH_RADIX:
-                    bad = sa if pa >= SWITCH_RADIX else sb
-                    raise TopologyError(
-                        f"switch {bad} (group {bad // S}) needs more than "
-                        f"{SWITCH_RADIX} ports; reduce global link counts")
-                next_port[sa] = pa + 1
-                next_port[sb] = pb + 1
-                switch_a.append(sa)
-                port_a.append(pa)
-                switch_b.append(sb)
-                port_b.append(pb)
-            global_links[(ga, gb)] = tuple(range(start, start + m))
-
-    return Topology(
-        spec=spec,
-        group_kinds=group_kinds,
-        links=LinkTable(spec, n_groups, switch_a, port_a, switch_b, port_b),
-        global_links=global_links,
-    )
+    counts = (spec.compute_groups, spec.storage_groups, spec.service_groups)
+    group_kinds = tuple(kind for kind, n in zip(_KINDS, counts)
+                        for _ in range(n))
+    links = LinkTable(spec)
+    return Topology(spec=spec, group_kinds=group_kinds, links=links,
+                    global_links=GlobalLinks(links))
 
 
 # -- fabric addressing ------------------------------------------------------
@@ -545,8 +625,8 @@ def topology_metrics(topo: Topology) -> TopologyMetrics:
     compute_set = set(computes)
     per_link_both = 2.0 * spec.link_bw_per_dir
 
-    # group pairs in insertion order are link ids in order, so the sum runs
-    # in link-id order
+    # group pairs in lexicographic order are link ids in order, so the sum
+    # runs in link-id order
     global_bw = 0.0
     for (ga, gb), ids in topo.global_links.items():
         if ga in compute_set and gb in compute_set:

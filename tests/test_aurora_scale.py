@@ -24,12 +24,12 @@ from test_engine_digest import KIB, Phase, Placement, Schedule, derangement, \
 
 RANKS = 256
 
-# bytes the built Aurora topology may hold: edge and local links are
-# computed from their ids and the ~31k global links are four int columns,
-# so this covers the columns and the per-group-pair index of global link
-# ids (about 6.3 MB); the global links as Link objects took about 8.2 MB,
-# and every link stored would be ~47 MB
-TOPOLOGY_BYTES = 7e6
+# bytes the built Aurora topology may hold: every link is computed from
+# its id, so this covers a few integers per group and per switch pair
+# (about 48 KB); the ~31k global links as four int columns and the
+# per-group-pair index of their ids took about 6.3 MB, as Link objects
+# about 8.2 MB, and every link stored would be ~47 MB
+TOPOLOGY_BYTES = 64e3
 
 # bytes the sparse permutation may keep per port it made, all the run's
 # other state (messages, routes, report) included: a port with one lane,
@@ -40,7 +40,7 @@ TOPOLOGY_BYTES = 7e6
 PORT_BYTES = 1400
 
 
-def test_aurora_topology_stores_only_global_links():
+def test_aurora_topology_stores_no_link():
     topo, held = retained_bytes(lambda: build_topology(aurora_spec()))
     assert held <= TOPOLOGY_BYTES
     assert len(topo.links) == 207_450

@@ -230,6 +230,41 @@ def test_nonminimal_unreachable(small_topo):
         enumerate_nonminimal_routes(small_topo, view, 0, dst, 2)
 
 
+def list_draw(rng, groups, samples, ga, gb):
+    """The candidate draw as it stood: a list of every group, less ``ga``
+    and ``gb``, sampled from directly."""
+    pool = list(range(groups))
+    del pool[max(ga, gb)]
+    if ga != gb:
+        del pool[min(ga, gb)]
+    k = min(samples, len(pool))
+    if k == len(pool):
+        return pool
+    return rng.sample(pool, k)
+
+
+@pytest.mark.parametrize("samples", [1, 4, 16])
+def test_sample_intermediates_match_list_draw(samples):
+    rng = random.Random(samples)
+    for groups in range(2, 201):
+        topo = build_topology(make_spec(compute_groups=groups,
+                                        switches_per_group=1,
+                                        global_links_per_compute_pair=0))
+        router = Router(topo, StateOverlay(topo),
+                        RoutingPolicy(intermediate_samples=samples),
+                        seed=groups)
+        reference = random.Random(groups)
+        ends = {0, groups - 1, groups // 2}
+        pairs = [(ga, gb) for ga in ends for gb in ends] \
+            + [(rng.randrange(groups), rng.randrange(groups))
+               for _ in range(8)]
+        for ga, gb in pairs:
+            assert router._sample_intermediates(ga, gb) \
+                == list_draw(reference, groups, samples, ga, gb), \
+                (groups, ga, gb)
+        assert router.rng.getstate() == reference.getstate()
+
+
 def outcome(enumerate_routes, topo, *args):
     """The routes ``enumerate_routes(topo, *args)`` returns, each as its
     ports and its detour group (None for a minimal route), or the message

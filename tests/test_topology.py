@@ -10,6 +10,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slingsim.topology import (
     EDGE,
@@ -18,6 +19,7 @@ from slingsim.topology import (
     KIND_SERVICE,
     KIND_STORAGE,
     LOCAL,
+    SWITCH_RADIX,
     StateOverlay,
     TopologyError,
     TopologySpec,
@@ -127,10 +129,29 @@ def test_build_determinism():
 
 def test_port_budget_rejected():
     # 63 compute groups with 8 links per pair on 4-switch groups needs
-    # 62*8/4 = 124 global ports per switch
+    # 62*8/4 = 124 global ports per switch, and 2 edge and 3 local ports
+    # leave 59 free
     spec = small_spec(compute_groups=63, global_links_per_compute_pair=8)
-    with pytest.raises(TopologyError, match="ports"):
+    with pytest.raises(TopologyError,
+                       match="group 0 needs 124 global ports per switch, "
+                             "more than the 59 ports left free"):
         build_topology(spec)
+
+
+def test_port_budget_boundary():
+    # 1-switch groups with 2 edge ports leave 62 ports for global links: 63
+    # groups give each switch 62 peers, which fill it; 64 do not fit
+    fits = small_spec(compute_groups=63, switches_per_group=1)
+    build_reference(fits)
+    assert max(l.port_b for l in build_topology(fits).links) \
+        == SWITCH_RADIX - 1
+    over = small_spec(compute_groups=64, switches_per_group=1)
+    with pytest.raises(TopologyError):
+        build_reference(over)
+    with pytest.raises(TopologyError,
+                       match="group 0 needs 63 global ports per switch, "
+                             "more than the 62 ports left free"):
+        build_topology(over)
 
 
 @pytest.mark.parametrize("compute_groups", [1, 2])
@@ -216,6 +237,66 @@ def test_link_table_matches_reference(spec):
 def test_link_tables_of_different_specs_differ():
     assert build_topology(small_spec()).links \
         != build_topology(small_spec(local_links_per_switch_pair=2)).links
+    assert build_topology(small_spec()).links \
+        != build_topology(small_spec(global_links_per_compute_pair=2)).links
+
+
+MULTIPLICITY = st.one_of(st.integers(0, 3), st.integers(10, 40))
+
+
+@st.composite
+def wiring_specs(draw):
+    """Small specs mixing the three group kinds, with zero multiplicities,
+    1-switch groups, no local links and multiplicities past the port
+    budget among them."""
+    return small_spec(
+        compute_groups=draw(st.integers(0, 5)),
+        storage_groups=draw(st.integers(0, 3)),
+        service_groups=draw(st.integers(0, 2)),
+        switches_per_group=draw(st.integers(1, 4)),
+        nodes_per_switch=draw(st.integers(1, 2)),
+        nics_per_node=draw(st.integers(1, 2)),
+        local_links_per_switch_pair=draw(st.integers(0, 2)),
+        global_links_per_compute_pair=draw(MULTIPLICITY),
+        global_links_compute_to_noncompute=draw(MULTIPLICITY),
+        global_links_per_storage_pair=draw(MULTIPLICITY),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wiring_specs())
+def test_closed_form_links_match_reference(spec):
+    try:
+        ref = build_reference(spec)
+    except TopologyError:  # the reference ran out of ports
+        with pytest.raises(TopologyError, match="global ports per switch"):
+            build_topology(spec)
+        return
+    topo = build_topology(spec)
+    links, n = topo.links, len(ref.links)
+    assert len(links) == n
+    for lid, want in enumerate(ref.links):
+        assert links[lid] == want and links[lid - n] == want, lid
+        assert links.switches(lid) == (want.switch_a, want.switch_b), lid
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            links[bad]
+    for bad in (n, -1):
+        with pytest.raises(IndexError):
+            links.switches(bad)
+
+    glinks = topo.global_links
+    assert glinks == ref.global_links
+    assert list(glinks.items()) == list(ref.global_links.items())
+    assert len(glinks) == len(ref.global_links)
+    groups = range(-1, len(topo.group_kinds) + 1)
+    for pair in itertools.product(groups, groups):
+        want = ref.global_links.get(pair)
+        assert glinks.get(pair) == want, pair
+        assert (pair in glinks) == (want is not None), pair
+        if want is None:  # absent, reversed, out of range or no link
+            with pytest.raises(KeyError):
+                glinks[pair]
 
 
 # -- metrics -------------------------------------------------------------------
