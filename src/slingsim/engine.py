@@ -3,12 +3,14 @@
 Messages split into chunks of at most ``chunk_quantum_bytes``.  A chunk's
 path is the sequence of directed links from the source NIC edge link over
 up to five fabric hops to the destination NIC edge link; its position in
-that sequence is its virtual channel.  Every directed port owns one buffer
-pool per virtual channel: a sender reserves space in the next pool before
-transmitting and releases its own at transmit end, which is credit-based
-flow control with monotonically increasing VC index, so buffer wait cycles
-cannot form.  A run sets the fields of ``SimConfig``; every other setting
-is a constant of this module.
+that sequence is its virtual channel.  A message keeps the path of the last
+route one of its chunks took, and its next chunks on that route share it;
+no one mutates a path.  Every directed port owns one buffer pool per virtual
+channel: a sender reserves space in the next pool before transmitting and
+releases its own at transmit end, which is credit-based flow control with
+monotonically increasing VC index, so buffer wait cycles cannot form.  A run
+sets the fields of ``SimConfig``; every other setting is a constant of this
+module.
 
 Directed ports are identified by the integer port id of
 ``topology.port_id`` (direction 0 travels a->b, and on edge links
@@ -114,6 +116,10 @@ class Message:
     fully_released: bool = False
     failed: bool = False
     done: bool = False
+    # the route a chunk of the message last took and the path built for it,
+    # which later chunks on that route share; both cleared on resolve
+    route: Route | None = None
+    path: tuple[int, ...] = ()
 
 
 class Chunk:
@@ -122,7 +128,10 @@ class Chunk:
     def __init__(self, msg: Message, length: int):
         self.msg = msg
         self.length = length
-        self.path: tuple[int, ...] = ()  # port ids, set by Engine._route
+        # port ids from the source edge link to the destination one, set by
+        # Engine._route: the message's path for the route, shared with its
+        # other chunks on that route and never mutated
+        self.path: tuple[int, ...] = ()
         self.hop = 0  # index of the port currently being traversed/queued
         self.tx_gen = 0
         self.retries = 0  # timeouts over the chunk's whole life
@@ -382,12 +391,6 @@ class Engine:
             self.injectors[ep] = inj
         return inj
 
-    @staticmethod
-    def _build_path(src: int, dst: int, route: Route,
-                    topo: Topology) -> tuple[int, ...]:
-        return (port_id(topo.edge_link_of_endpoint(src), 0), *route,
-                port_id(topo.edge_link_of_endpoint(dst), 1))
-
     # -- run loop ----------------------------------------------------------------
 
     def run(self) -> SimReport:
@@ -478,6 +481,7 @@ class Engine:
     def _resolve(self, msg: Message) -> None:
         """Common bookkeeping once a message completes or fails."""
         msg.done = True
+        msg.route, msg.path = None, ()
         self.unresolved -= 1
         if msg.ordered:
             self.router.close_flow(msg.src, msg.dst, msg.traffic_class)
@@ -621,9 +625,11 @@ class Engine:
         return chunk if self._route(chunk) else None
 
     def _route(self, chunk: Chunk) -> bool:
-        """Give ``chunk`` a fresh path from its source.  Without a route,
-        its message stops releasing chunks and the chunk retries later,
-        counting a timeout on the source edge link."""
+        """Give ``chunk`` a fresh path from its source: its message's path,
+        built again only when the router picks a route other than the one
+        that path was built for.  Without a route, its message stops
+        releasing chunks and the chunk retries later, counting a timeout on
+        the source edge link."""
         msg = chunk.msg
         try:
             route = self.router.select_route(
@@ -634,7 +640,11 @@ class Engine:
                 active.remove(msg)
             self._retry_later(chunk, self.topo.edge_link_of_endpoint(msg.src))
             return False
-        chunk.path = self._build_path(msg.src, msg.dst, route, self.topo)
+        if route is not msg.route:
+            msg.route = route
+            msg.path = (self.injectors[msg.src].out_port, *route,
+                        port_id(self.topo.edge_link_of_endpoint(msg.dst), 1))
+        chunk.path = msg.path
         chunk.hop = 0
         return True
 

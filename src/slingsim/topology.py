@@ -196,11 +196,15 @@ class LinkTable(Sequence[Link]):
                 f"edge and local links need {self._first_free} ports per "
                 f"switch, more than {SWITCH_RADIX}")
         free = SWITCH_RADIX - self._first_free
+        self._per_group = S * (S - 1) // 2 * self._per_pair
         # the switches i < j of the switch pair of each rank, as two int
-        # tuples, which hold no per-pair object
-        self._pair_lo = tuple(i for i in range(S) for _ in range(i + 1, S))
-        self._pair_hi = tuple(j for i in range(S) for j in range(i + 1, S))
-        self._per_group = len(self._pair_lo) * self._per_pair
+        # tuples, which hold no per-pair object; without local links no id
+        # reads them, and nothing bounds S, so they are left empty
+        if self._per_pair:
+            self._pair_lo = tuple(i for i in range(S) for _ in range(i + 1, S))
+            self._pair_hi = tuple(j for i in range(S) for j in range(i + 1, S))
+        else:
+            self._pair_lo = self._pair_hi = ()
         self._first_local = groups * S * self._eps
         self._first_global = self._first_local + groups * self._per_group
         mult = tuple(tuple(_global_pair_multiplicity(spec, a, b)

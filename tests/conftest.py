@@ -1,6 +1,7 @@
 """Shared fixtures: small dragonfly configurations reused across suites,
-and the memory probe of the memory guards."""
+and the memory probes of the memory guards."""
 
+import gc
 import tracemalloc
 
 import pytest
@@ -54,3 +55,20 @@ def retained_bytes(f):
     finally:
         tracemalloc.stop()
     return result, held
+
+
+def peak_bytes(f):
+    """Call ``f()`` under tracemalloc; return its result and the most bytes
+    allocated during the call that were held at once.  A full collection
+    first empties CPython's free lists, whose objects tracemalloc would not
+    see reused, so the figure does not depend on what ran before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = f()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -5,7 +5,8 @@ In the permutation, every chunk of a 16 KiB message is routed before the
 first congestion tick (2 us), so every decision sees the idle view.  There
 the minimal route reaches the detour floor, so route selection must never
 enumerate a detour set: 256 ranks draw thousands of them without the floor.
-The permutation also bounds the memory a run keeps per port it touched.
+The permutation also bounds the memory a run keeps per port it touched, and
+the most it holds at once per rank.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ from slingsim.qos import default_profile
 from slingsim.routing import Router, RoutingPolicy
 from slingsim.topology import Link, StateOverlay, aurora_spec, build_topology
 
-from conftest import retained_bytes
+from conftest import peak_bytes, retained_bytes
 from topology_reference import build_reference
 from test_engine_digest import KIB, Phase, Placement, Schedule, derangement, \
     run_loaded
@@ -38,6 +39,15 @@ TOPOLOGY_BYTES = 64e3
 # waiter dict on every port and congestion state on every edge-in port
 # would add about 0.17 KB
 PORT_BYTES = 1400
+
+# the most bytes the sparse 64 KiB permutation may hold at once, per rank:
+# at the peak a rank has made about 4.8 ports (about 3.5 KB with their
+# queues and port ids) and has nearly all 16 chunks of its message in
+# flight, each an 80 B chunk and a heap event of about 110 B (about 3 KB);
+# with its message, the route tables and the rest, the run peaks at about
+# 9.1 KB per rank.  A path tuple per chunk, with its two edge port ids,
+# took about 2.1 KB more (11.2 KB per rank)
+PEAK_BYTES_PER_RANK = 10_000
 
 
 def test_aurora_topology_stores_no_link():
@@ -96,16 +106,16 @@ def sparse_permutation(spec, ranks: int, size: int, seed: int):
     return Placement(ranks, tuple(endpoints)), Schedule((Phase(msgs),))
 
 
-def sparse_run():
-    """A CC-off engine on the full Aurora fabric, and the 16 KiB sparse
-    permutation of ``RANKS`` ranks for it."""
+def sparse_run(size: int = 16 * KIB):
+    """A CC-off engine on the full Aurora fabric, and the sparse permutation
+    of ``RANKS`` ranks sending ``size`` bytes each for it."""
     spec = aurora_spec()
     topo = build_topology(spec)
     overlay = StateOverlay(topo)
     router = Router(topo, overlay, RoutingPolicy(), seed=1)
     engine = Engine(topo, overlay, router, default_profile(),
                     SimConfig(seed=1, cc_enabled=False))
-    return engine, sparse_permutation(spec, RANKS, 16 * KIB, 1)
+    return engine, sparse_permutation(spec, RANKS, size, 1)
 
 
 def test_idle_sparse_permutation_enumerates_no_detour(monkeypatch):
@@ -130,3 +140,10 @@ def test_sparse_run_port_bytes():
     report, held = retained_bytes(lambda: run_loaded(engine, workload))
     assert report.delivered_bytes == RANKS * 16 * KIB
     assert held / len(engine.ports) <= PORT_BYTES, held / len(engine.ports)
+
+
+def test_sparse_run_peak_bytes_per_rank():
+    engine, workload = sparse_run(64 * KIB)
+    report, peak = peak_bytes(lambda: run_loaded(engine, workload))
+    assert report.delivered_bytes == RANKS * 64 * KIB
+    assert peak / RANKS <= PEAK_BYTES_PER_RANK, peak / RANKS

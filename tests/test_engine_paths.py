@@ -1,21 +1,23 @@
 """Engine paths no golden run reaches: flows without any route, the
 release of congestion throttles, ordered flows losing their pinned link,
-phase barriers, and the schedules, settings and faults the engine must
-reject.
+phase barriers, chunks sharing their message's path, and the schedules,
+settings and faults the engine must reject.
 
-Every run goes through ``test_engine_digest.run``, so it shares its host-time
-budget and its byte-balance and credit-drain checks.
+Every run that finishes goes through ``test_engine_digest.run``, so it
+shares its host-time budget and its byte-balance and credit-drain checks.
 """
 
 import pytest
 
-from slingsim.engine import MAX_RETRIES, RETRY_TIMEOUT_S, Engine, SimConfig, \
-    SimConfigError
+from slingsim.engine import K_ARRIVE, MAX_RETRIES, RETRY_TIMEOUT_S, Engine, \
+    SimConfig, SimConfigError
 from slingsim.routing import Router
-from slingsim.topology import GLOBAL, StateOverlay, TopologyError, port_key
+from slingsim.topology import GLOBAL, StateOverlay, TopologyError, port_id, \
+    port_key
 
 from test_engine_digest import KIB, Phase, Placement, Schedule, \
-    first_global, incast_with_background, make_engine, run, run_loaded
+    first_global, incast_with_background, make_engine, permutation, run, \
+    run_loaded
 
 MIB = 1024 * KIB
 
@@ -150,6 +152,71 @@ def test_ordered_flow_keeps_one_route(monkeypatch):
     assert set(routes) == {pinned, routes[-1]}
     assert report.incomplete_messages == 0 and report.timeout_count > 0
     assert engine.router.flows == {}
+
+
+def in_flight(engine):
+    """The chunks queued at a port, on a wire or propagating to the next
+    port of a stopped run."""
+    chunks = [c for port in engine.ports.values() for lane in port.lanes
+              for q in lane.queues for c in q]
+    chunks += [port.busy for port in engine.ports.values() if port.busy]
+    chunks += [payload for _, _, kind, payload in engine._heap
+               if kind == K_ARRIVE]
+    return chunks
+
+
+@pytest.mark.parametrize("workload, cc", [
+    (permutation(128, 64 * KIB, 1), False),
+    (incast_with_background(128, 64 * KIB, 1), True),
+], ids=["permutation", "ordered_incast_cc"])
+def test_chunks_share_their_message_path(monkeypatch, workload, cc):
+    """Stopped at 5 us, with the chunks of each message spread over the
+    fabric, every chunk's path is ``(edge-out port, *route, edge-in port)``
+    of its message, and the chunks of one message on one route share one
+    path object.  A message keeps only the path of its last route, so one
+    that leaves a route and comes back to it builds that path again: its
+    chunks on the route hold at most one path object per such visit.  A
+    run that finishes leaves no message holding a route or a path."""
+    picked = []  # every route the router returned, in order
+    taken = {}  # message -> the route of each chunk routed, in order
+    select, route_chunk = Router.select_route, Engine._route
+
+    def select_recorded(self, *args):
+        picked.append(select(self, *args))
+        return picked[-1]
+
+    def route_recorded(self, chunk):
+        routed = route_chunk(self, chunk)
+        if routed:
+            assert chunk.path[1:-1] == picked[-1]
+            taken.setdefault(chunk.msg, []).append(picked[-1])
+        return routed
+
+    monkeypatch.setattr(Router, "select_route", select_recorded)
+    monkeypatch.setattr(Engine, "_route", route_recorded)
+    engine = make_engine(cc=cc, duration_s=5e-6)
+    engine.load(*workload)
+    engine.run()
+    assert engine.unresolved
+    visits = {}  # (message, route) -> times the message came to the route
+    for msg, routes in taken.items():
+        for i, route in enumerate(routes):
+            if i == 0 or routes[i - 1] != route:
+                visits[msg, route] = visits.get((msg, route), 0) + 1
+    paths = {}
+    for chunk in in_flight(engine):
+        msg, route = chunk.msg, chunk.path[1:-1]
+        paths.setdefault((msg, route), set()).add(id(chunk.path))
+        out = engine.injectors[msg.src].out_port
+        dst = port_id(engine.topo.edge_link_of_endpoint(msg.dst), 1)
+        assert chunk.path == (out, *route, dst)
+    assert len(paths) > 100
+    assert all(len(ids) <= visits[key] for key, ids in paths.items())
+    assert sum(visits[key] == 1 for key in paths) > 100
+
+    engine, report = run(workload, cc)
+    assert report.incomplete_messages == 0
+    assert all(m.route is None and m.path == () for m in engine.messages)
 
 
 def two_phases(first, second, barrier):

@@ -32,7 +32,8 @@ from slingsim.topology import (
     topology_metrics,
 )
 
-from conftest import bench_spec
+from conftest import bench_spec, retained_bytes
+from test_aurora_scale import TOPOLOGY_BYTES
 from topology_reference import build_reference
 
 
@@ -297,6 +298,22 @@ def test_closed_form_links_match_reference(spec):
         if want is None:  # absent, reversed, out of range or no link
             with pytest.raises(KeyError):
                 glinks[pair]
+
+
+def test_group_without_local_links_holds_no_pair_table():
+    """Without local links the port budget does not bound the switches per
+    group, so a table per switch pair would grow with their square: one
+    group of 2,000 switches held 95 MB in two such tables for 4,000 edge
+    links."""
+    spec = small_spec(compute_groups=1, switches_per_group=2000,
+                      local_links_per_switch_pair=0)
+    topo, held = retained_bytes(lambda: build_topology(spec))
+    assert held <= TOPOLOGY_BYTES
+    links = topo.links
+    assert len(links) == topo.total_endpoints == 4000
+    assert links[-1] == links[3999] and links[-1].kind == EDGE
+    assert links.switches(3999) == (1999, 1999)
+    assert not links.local_between(0, 1999)
 
 
 # -- metrics -------------------------------------------------------------------
