@@ -10,21 +10,16 @@ channel: a sender reserves space in the next pool before transmitting and
 releases its own at transmit end, which is credit-based flow control with
 monotonically increasing VC index, so buffer wait cycles cannot form.  A run
 sets the fields of ``SimConfig``; every other setting is a constant of this
-module.
+module or of ``cc``.
 
 Directed ports are identified by the integer port id of
 ``topology.port_id`` (direction 0 travels a->b, and on edge links
 endpoint->switch).  Routes, chunk paths, the congestion view,
-``Engine.ports``, ``active_ports`` and ``monitored`` all use these ids.
+``Engine.ports`` and ``active_ports`` all use these ids.
 
-Congestion management, when ``SimConfig.cc_enabled`` is set, watches the
-switch-side queues of NIC delivery links; with it off, no port carries
-congestion state.  A queue that stays above the detection threshold for the
-dwell time marks the link congested; the sources seen feeding it during the
-dwell window are its contributors and get injection-throttled (one
-``qos.TokenBucket`` per source and link) to an equal split of the link rate,
-with hysteresis on release.  Traffic to other destinations is never
-throttled.
+Congestion management (``cc``), when ``SimConfig.cc_enabled`` is set,
+watches the switch-to-NIC ports of edge links and throttles the injection
+of the sources feeding a congested one; with it off, ``Engine.cc`` is None.
 
 Link faults flush and invalidate in-flight chunks; each lost chunk retries
 from its source after the retry timeout and counts one network timeout.  A
@@ -50,6 +45,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import count
 
+from slingsim.cc import CongestionManager, Watch
 from slingsim.qos import ClassProfile, PortState, TokenBucket, arbitrate
 from slingsim.report import FlapEvent, MessageRecord, SimReport, TimeoutEvent
 from slingsim.routing import CongestionView, NoRouteError, Route, Router
@@ -64,10 +60,8 @@ MAX_VC = 8  # edge + up to 5 fabric hops + edge, with margin
 DEFAULT_WINDOW = 16  # outstanding messages per rank when a schedule sets none
 MAX_RETRIES = 8  # timeouts a chunk survives; the next one fails its message
 POOL_CHUNKS = 8  # each (port, VC) credit pool holds this many full chunks
-CC_THETA_CHUNKS = 4  # congestion threshold of a monitored queue, in chunks
 # seconds, each the float of its microseconds * 1e-6, which event times sum
 RETRY_TIMEOUT_S = 100.0 * 1e-6  # from a loss or a missing route to the retry
-CC_TAU_S = 10.0 * 1e-6  # dwell before detection and release; contributor age
 QOS_WINDOW_S = 100.0 * 1e-6  # QoS priority-budget window
 TICK_INTERVAL_S = 2.0 * 1e-6  # congestion-view rebuild and CC update period
 SERIES_INTERVAL_S = 50.0 * 1e-6  # report time-series sample period
@@ -80,9 +74,9 @@ class SimConfig:
     """The settings a run varies: ``seed`` (the router's, recorded in the
     report), ``duration_s`` (simulated seconds before the run stops),
     ``chunk_quantum_bytes`` (the largest chunk; a credit pool holds
-    ``POOL_CHUNKS`` of them, a congested queue over ``CC_THETA_CHUNKS``),
-    ``cc_enabled`` and ``sweep_interval_s`` (simulated seconds between
-    sweeps).  The constants above are the settings no run varies."""
+    ``POOL_CHUNKS`` of them), ``cc_enabled`` (congestion management, ``cc``)
+    and ``sweep_interval_s`` (simulated seconds between sweeps).  The
+    constants here and in ``cc`` are the settings no run varies."""
 
     seed: int = 0
     duration_s: float = 1.0
@@ -113,7 +107,6 @@ class Message:
     completion_time: float = -1.0
     released: int = 0
     delivered: int = 0
-    fully_released: bool = False
     failed: bool = False
     done: bool = False
     # the route a chunk of the message last took and the path built for it,
@@ -152,25 +145,14 @@ class Port(PortState):
     - ``rate``, the overlay's effective bandwidth of the link (0.0 while
       it is unusable), read when the port is made and when the link flaps,
       the only overlay writes during a run;
-    - ``monitored``: whether congestion management watches the port, which
-      it does for the switch-to-NIC direction of an edge link in a run with
-      ``SimConfig.cc_enabled`` set.
-
-    Only a monitored port has the congestion state: ``detected``,
-    ``above_since`` and ``below_since`` (-1.0 when unset), ``contributors``
-    (source endpoint -> last time it fed the queue) and ``throttled`` (the
-    sources throttled on its account).
+    - ``watch``, its ``cc.Watch`` when congestion management watches it,
+      else None.
     """
 
-    __slots__ = (
-        "id", "link_id", "committed", "occ", "busy", "waiters",
-        "wake_at", "delay", "rate", "monitored",
-        "detected", "above_since", "below_since", "contributors",
-        "throttled",
-    )
+    __slots__ = ("id", "link_id", "committed", "occ", "busy", "waiters",
+                 "wake_at", "delay", "rate", "watch")
 
-    def __init__(self, pid: int, profile: ClassProfile, delay: float,
-                 monitored: bool):
+    def __init__(self, pid: int, profile: ClassProfile, delay: float):
         super().__init__(profile)
         self.id = pid
         self.link_id = port_key(pid)[0]
@@ -181,30 +163,19 @@ class Port(PortState):
         self.wake_at = INF
         self.delay = delay
         self.rate = 0.0  # set by Engine._read_rate
-        self.monitored = monitored
-        if monitored:
-            self.detected = False
-            self.above_since = -1.0
-            self.below_since = -1.0
-            self.contributors: dict[int, float] = {}
-            self.throttled: set[int] = set()
+        self.watch: Watch | None = None
 
 
 class Injector:
-    """Per-source-endpoint chunk release: message round robin, retry queue
-    and per-congested-destination rate limits."""
+    """Chunk release of one source endpoint: round robin and retry queue."""
 
-    __slots__ = ("ep", "out_port", "active", "rr", "retries", "throttles",
-                 "wake_at")
+    __slots__ = ("out_port", "active", "rr", "retries", "wake_at")
 
-    def __init__(self, ep: int, edge_link: int):
-        self.ep = ep
+    def __init__(self, edge_link: int):
         self.out_port = port_id(edge_link, 0)
         self.active: list[Message] = []
         self.rr = 0
         self.retries: list[Chunk] = []
-        # egress edge link -> bucket at that link's fair share
-        self.throttles: dict[int, TokenBucket] = {}
         self.wake_at = INF
 
 
@@ -240,11 +211,11 @@ class Engine:
         self._heap: list = []
         self._seq = count()  # heap tie-break: events at one time fire FIFO
         self._buffer = POOL_CHUNKS * config.chunk_quantum_bytes
-        self._theta = CC_THETA_CHUNKS * config.chunk_quantum_bytes
+        self.cc = CongestionManager(overlay, config.chunk_quantum_bytes) \
+            if config.cc_enabled else None
         self.ports: dict[int, Port] = {}  # port id -> Port
         self.injectors: dict[int, Injector] = {}
         self.active_ports: dict[int, Port] = {}
-        self.monitored: dict[int, Port] = {}
         self.link_gen: dict[int, int] = {}
         self.view = CongestionView()
         self._blocked: list[Port] = []  # ports refusing credit to one kick
@@ -370,11 +341,10 @@ class Engine:
         edge = link_id < self._total_endpoints
         port = self.ports[pid] = Port(
             pid, self.profile,
-            spec.endpoint_latency if edge else spec.per_hop_latency,
-            edge and direction == 1 and self.config.cc_enabled)
+            spec.endpoint_latency if edge else spec.per_hop_latency)
         self._read_rate(port)
-        if port.monitored:
-            self.monitored[pid] = port
+        if edge and direction == 1 and self.cc is not None:
+            port.watch = self.cc.watch(port)
         return port
 
     def _read_rate(self, port: Port) -> None:
@@ -383,13 +353,6 @@ class Engine:
         overlay = self.overlay
         port.rate = overlay.effective_bandwidth(port.link_id) \
             if overlay.link_usable(port.link_id) else 0.0
-
-    def _injector(self, ep: int) -> Injector:
-        inj = self.injectors.get(ep)
-        if inj is None:
-            inj = Injector(ep, self.topo.edge_link_of_endpoint(ep))
-            self.injectors[ep] = inj
-        return inj
 
     # -- run loop ----------------------------------------------------------------
 
@@ -474,7 +437,10 @@ class Engine:
         if msg.ordered:
             self.router.open_flow(msg.src, msg.dst, msg.traffic_class,
                                   self.view)
-        inj = self._injector(msg.src)
+        inj = self.injectors.get(msg.src)
+        if inj is None:
+            inj = self.injectors[msg.src] = Injector(
+                self.topo.edge_link_of_endpoint(msg.src))
         inj.active.append(msg)
         self._run_injector(inj)
 
@@ -529,21 +495,12 @@ class Engine:
 
     # -- injection -------------------------------------------------------------------
 
-    def _throttle_wait(self, inj: Injector, msg: Message,
-                       length: int) -> float | None:
-        """None when ``inj``'s throttle toward ``msg.dst``, if any, lets
-        ``length`` bytes go now, else the time it will."""
-        if not inj.throttles:
-            return None
-        bucket = inj.throttles.get(self.topo.edge_link_of_endpoint(msg.dst))
-        return None if bucket is None else bucket.wait(self.now, length)
-
-    def _charge_throttle(self, inj: Injector, msg: Message, length: int) -> None:
-        if not inj.throttles:
-            return
-        bucket = inj.throttles.get(self.topo.edge_link_of_endpoint(msg.dst))
-        if bucket is not None:
-            bucket.tokens -= length
+    def _throttle(self, msg: Message) -> TokenBucket | None:
+        """The congestion throttle on ``msg``'s source toward its
+        destination's delivery port, if any."""
+        cc = self.cc
+        return None if cc is None else cc.bucket(
+            msg.src, port_id(self.topo.edge_link_of_endpoint(msg.dst), 1))
 
     def _run_injector(self, inj: Injector) -> None:
         out = self._port(inj.out_port)
@@ -559,7 +516,9 @@ class Engine:
                 if self._drop_resolved(cand):
                     inj.retries.pop(0)
                     continue
-                t = self._throttle_wait(inj, cand.msg, cand.length)
+                bucket = self._throttle(cand.msg)
+                t = None if bucket is None \
+                    else bucket.wait(self.now, cand.length)
                 if t is None:
                     if out.committed[0] + cand.length > buffer:
                         self._wait_on(out, inj)
@@ -578,7 +537,9 @@ class Engine:
                 if chunk is None:
                     continue  # no route: the chunk retries; try others
             # hand the chunk to the edge-out port
-            self._charge_throttle(inj, chunk.msg, chunk.length)
+            bucket = self._throttle(chunk.msg)
+            if bucket is not None:
+                bucket.tokens -= chunk.length
             out.committed[0] += chunk.length
             out.occ += chunk.length
             self.active_ports[out.id] = out
@@ -597,10 +558,11 @@ class Engine:
         earliest: float | None = None
         for i in range(n):
             msg = inj.active[(inj.rr + i) % n]
-            if msg.done or msg.fully_released:
+            if msg.done or msg.released >= msg.size:
                 continue
             length = min(quantum, msg.size - msg.released)
-            t = self._throttle_wait(inj, msg, length)
+            bucket = self._throttle(msg)
+            t = None if bucket is None else bucket.wait(self.now, length)
             if t is not None:
                 earliest = t if earliest is None else min(earliest, t)
                 continue
@@ -609,7 +571,8 @@ class Engine:
                 return None
             inj.rr = (inj.rr + i) % n
             return msg
-        inj.active = [m for m in inj.active if not (m.done or m.fully_released)]
+        inj.active = [m for m in inj.active
+                      if not (m.done or m.released >= m.size)]
         inj.rr = 0
         return earliest
 
@@ -619,8 +582,6 @@ class Engine:
         length = min(quantum, msg.size - msg.released)
         chunk = Chunk(msg, length)
         msg.released += length
-        if msg.released >= msg.size:
-            msg.fully_released = True
         self.injected_bytes += length
         return chunk if self._route(chunk) else None
 
@@ -752,8 +713,8 @@ class Engine:
             self._lose_chunk(chunk, hop, port.link_id)
             return
         port.enqueue(chunk, chunk.msg.traffic_class, hop)
-        if port.monitored:
-            port.contributors[chunk.msg.src] = self.now
+        if port.watch is not None:
+            port.watch.contributors[chunk.msg.src] = self.now
         if port.busy is None:
             self._kick_port(port)
 
@@ -763,8 +724,7 @@ class Engine:
         self.delivered_bytes += chunk.length
         self.per_ep_delivered[msg.dst] = \
             self.per_ep_delivered.get(msg.dst, 0) + chunk.length
-        if not msg.done and not msg.failed and msg.fully_released \
-                and msg.delivered >= msg.size:
+        if not msg.done and msg.delivered >= msg.size:
             msg.completion_time = self.now
             self._resolve(msg)
 
@@ -818,7 +778,7 @@ class Engine:
         msg = chunk.msg
         inj = self.injectors[msg.src]
         inj.retries.append(chunk)
-        if not msg.fully_released and msg not in inj.active:
+        if msg.released < msg.size and msg not in inj.active:
             inj.active.append(msg)  # it has a route again
         self._run_injector(inj)
 
@@ -848,81 +808,15 @@ class Engine:
             self._lose_chunk(chunk, chunk.hop, port.link_id)
         self._wake_waiters(port)
 
-    # -- congestion management -------------------------------------------------------
+    # -- ticks ------------------------------------------------------------------------
 
     def _on_tick(self) -> None:
-        self._rebuild_view()
-        if self.config.cc_enabled:
-            self._cc_update()
-
-    def _rebuild_view(self) -> None:
         self.view = CongestionView({
             pid: float(port.occ) for pid, port in self.active_ports.items()
             if port.occ > 0})
-
-    def _cc_update(self) -> None:
-        theta, tau = self._theta, CC_TAU_S
-        for port in self.monitored.values():
-            occ = port.occ
-            if not port.detected:
-                if occ > theta:
-                    if port.above_since < 0:
-                        port.above_since = self.now
-                    if self.now - port.above_since >= tau:
-                        port.detected = True
-                        port.below_since = -1.0
-                        self._sync_throttles(port)
-                else:
-                    port.above_since = -1.0
-            else:
-                self._sync_throttles(port)
-                if occ < theta / 2:
-                    if port.below_since < 0:
-                        port.below_since = self.now
-                    if self.now - port.below_since >= tau:
-                        port.detected = False
-                        port.above_since = -1.0
-                        port.below_since = -1.0
-                        self._clear_throttles(port)
-                else:
-                    port.below_since = -1.0
-
-    def _sync_throttles(self, port: Port) -> None:
-        horizon = self.now - CC_TAU_S
-        live = {src for src, t in port.contributors.items() if t >= horizon}
-        if not live:
-            live = set(port.contributors)  # keep last known feeders
-        for src in sorted(port.contributors):
-            if src not in live:
-                del port.contributors[src]
-        egress = port.link_id
-        fair = self.overlay.effective_bandwidth(egress) / max(1, len(live))
-        for src in sorted(port.throttled - live):
-            inj = self.injectors.get(src)
-            if inj:
-                inj.throttles.pop(egress, None)
-                self._push(self.now, K_WAKEINJ, inj)
-            port.throttled.discard(src)
-        for src in sorted(live):
-            inj = self._injector(src)
-            bucket = inj.throttles.get(egress)
-            if bucket is None:
-                inj.throttles[egress] = TokenBucket(
-                    fair, float(self.config.chunk_quantum_bytes), self.now)
-                port.throttled.add(src)
-            else:
-                bucket.refill(self.now)
-                bucket.rate = fair
-
-    def _clear_throttles(self, port: Port) -> None:
-        egress = port.link_id
-        for src in sorted(port.throttled):
-            inj = self.injectors.get(src)
-            if inj:
-                inj.throttles.pop(egress, None)
-                self._push(self.now, K_WAKEINJ, inj)
-        port.throttled.clear()
-        port.contributors.clear()
+        if self.cc is not None:
+            for src in self.cc.update(self.now):
+                self._push(self.now, K_WAKEINJ, self.injectors[src])
 
     # -- series & report ------------------------------------------------------------------
 
@@ -943,20 +837,16 @@ class Engine:
                 failed=m.failed)
             for m in self.messages
         ]
-        incomplete = sum(1 for m in self.messages
-                         if not m.failed and m.completion_time < 0)
         return SimReport(
             seed=self.config.seed,
             duration=self.now,
             messages=records,
             per_endpoint_delivered=dict(sorted(self.per_ep_delivered.items())),
             series=list(self.series),
-            timeout_count=len(self.timeout_events),
             timeout_events=list(self.timeout_events),
             flap_events=list(self.flap_events),
             injected_bytes=self.injected_bytes,
             delivered_bytes=self.delivered_bytes,
             failed_bytes=self.failed_bytes,
-            incomplete_messages=incomplete,
         )
 

@@ -17,8 +17,8 @@ are redistributed.  Two refinements sit on top:
   entitled share instead of inflating it, and the per-window budget bounds
   how long a class can ride its priority.
 
-``TokenBucket`` is the simulator's one token bucket; the engine's injector
-throttles use it too.  No bucket asks to be woken at the instant it is read.
+``TokenBucket`` is the simulator's one token bucket; the injection throttles
+of ``cc`` use it too.  No bucket asks to be woken at the instant it is read.
 """
 
 from __future__ import annotations

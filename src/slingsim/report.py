@@ -57,13 +57,11 @@ class SimReport:
     messages: list[MessageRecord]
     per_endpoint_delivered: dict[int, int]
     series: list[tuple[float, float, int, int]]  # t, bw, inflight, timeouts_cum
-    timeout_count: int
     timeout_events: list[TimeoutEvent]
     flap_events: list[FlapEvent]
     injected_bytes: int
     delivered_bytes: int
     failed_bytes: int
-    incomplete_messages: int
     digest: str = ""
 
     def __post_init__(self):
@@ -87,6 +85,15 @@ class SimReport:
         return h.hexdigest()
 
     # -- aggregates ---------------------------------------------------------
+
+    @property
+    def timeout_count(self) -> int:
+        return len(self.timeout_events)
+
+    @property
+    def incomplete_messages(self) -> int:
+        """Messages neither completed nor failed."""
+        return sum(1 for m in self.messages if not (m.completed or m.failed))
 
     def completed_messages(self) -> list[MessageRecord]:
         return [m for m in self.messages if m.completed]

@@ -445,23 +445,8 @@ class Topology:
     def switch_of_endpoint(self, endpoint: int) -> int:
         return self.switch_of_node(self.node_of_endpoint(endpoint))
 
-    def nic_of_endpoint(self, endpoint: int) -> int:
-        return endpoint % self.spec.nics_per_node
-
-    def socket_of_endpoint(self, endpoint: int) -> int:
-        # lower half of the NICs hangs off socket 0, upper half off socket 1
-        return 0 if self.nic_of_endpoint(endpoint) < (self.spec.nics_per_node + 1) // 2 else 1
-
     def edge_link_of_endpoint(self, endpoint: int) -> int:
         return endpoint  # edge links are allocated first, id == endpoint id
-
-    def endpoints_of_node(self, node: int) -> range:
-        k = self.spec.nics_per_node
-        return range(node * k, (node + 1) * k)
-
-    def endpoints_of_switch(self, switch: int) -> range:
-        k = self.spec.endpoints_per_switch
-        return range(switch * k, (switch + 1) * k)
 
     def switches_of_group(self, group: int) -> range:
         k = self.spec.switches_per_group

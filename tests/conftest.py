@@ -46,7 +46,9 @@ def bench_topo():
 
 def retained_bytes(f):
     """Call ``f()`` under tracemalloc; return its result and the bytes
-    allocated during the call that are still held when it returns."""
+    allocated during the call that are still held when it returns.  It
+    collects first, as ``peak_bytes`` does, for the same reason."""
+    gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

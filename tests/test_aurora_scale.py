@@ -33,12 +33,12 @@ RANKS = 256
 TOPOLOGY_BYTES = 64e3
 
 # bytes the sparse permutation may keep per port it made, all the run's
-# other state (messages, routes, report) included: a port with one lane,
-# one VC queue and its credit pools takes about 1.28 KB in this CC-off run
-# (1.34 KB while the port and its arbitration state were two objects); a
-# waiter dict on every port and congestion state on every edge-in port
-# would add about 0.17 KB
-PORT_BYTES = 1400
+# other state (messages, routes, report) included, measured after a full
+# collection: a port with one lane, one VC queue and its credit pools takes
+# about 1.15 KB in this CC-off run.  It took 1.21 KB while every port had
+# slots for congestion state, and a waiter dict on every port would add
+# 64 B more
+PORT_BYTES = 1200
 
 # the most bytes the sparse 64 KiB permutation may hold at once, per rank:
 # at the peak a rank has made about 4.8 ports (about 3.5 KB with their

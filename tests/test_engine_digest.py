@@ -201,17 +201,18 @@ def test_incast_with_background_cc():
     assert report.digest == \
         "80d3afb39f8cafcd0d55ab64217f610278f24fad0e4284b51508fa922302874d"
     assert report.incomplete_messages == 0
-    detected = [p.link_id for p in engine.monitored.values() if p.detected]
+    detected = [w.port.link_id for w in engine.cc.watches.values()
+                if w.detected]
     assert len(detected) == 2
 
 
 def test_incast_with_background_cc_off_monitors_nothing():
-    """With congestion management off no port is monitored, so none
-    carries congestion state."""
+    """With congestion management off the engine has no manager, so no
+    port carries congestion state."""
     engine, report = run(incast_with_background(128, 16 * KIB, 1), cc=False)
     assert report.incomplete_messages == 0
-    assert engine.ports and not engine.monitored
-    assert not any(hasattr(p, "contributors") for p in engine.ports.values())
+    assert engine.ports and engine.cc is None
+    assert all(p.watch is None for p in engine.ports.values())
 
 
 def test_permutation_with_flaps():

@@ -9,6 +9,7 @@ shares its host-time budget and its byte-balance and credit-drain checks.
 
 import pytest
 
+from slingsim.cc import CongestionManager
 from slingsim.engine import K_ARRIVE, MAX_RETRIES, RETRY_TIMEOUT_S, Engine, \
     SimConfig, SimConfigError
 from slingsim.routing import Router
@@ -100,20 +101,26 @@ def test_congestion_release(monkeypatch):
                 Schedule((Phase(incast + ((src, dst, 4 * MIB, False),)),)))
 
     released = []
-    clear = Engine._clear_throttles
+    update = CongestionManager.update
 
-    def recorded(self, port):
-        released.append((self.now, port.link_id, frozenset(port.throttled)))
-        return clear(self, port)
+    def recorded(self, now):
+        held = {w: set(w.buckets) for w in self.watches.values()
+                if w.detected}
+        woken = update(self, now)
+        for w, throttled in held.items():
+            if not w.detected:
+                released.append((now, w.port.link_id, throttled))
+                assert throttled <= set(woken)
+        return woken
 
-    monkeypatch.setattr(Engine, "_clear_throttles", recorded)
+    monkeypatch.setattr(CongestionManager, "update", recorded)
     engine, report = run(workload, cc=True)
     hot = {engine.topo.edge_link_of_endpoint(d) for _, d, _, _ in incast}
     assert {link for _, link, _ in released} == hot
     for t, _, throttled in released:
         assert t == pytest.approx(32e-6) and throttled
-    assert not any(link in inj.throttles
-                   for inj in engine.injectors.values() for link in hot)
+    assert not any(engine.cc.watches[port_id(link, 1)].buckets
+                   for link in hot)
     assert report.incomplete_messages == 0 and report.failed_bytes == 0
 
 

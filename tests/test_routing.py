@@ -387,7 +387,7 @@ def test_dead_link_routable_until_sweep(bench_topo):
 # -- selection ---------------------------------------------------------------------
 
 def ep_on_switch(topo, switch, idx=0):
-    return list(topo.endpoints_of_switch(switch))[idx]
+    return switch * topo.spec.endpoints_per_switch + idx
 
 
 def test_zero_occupancy_prefers_minimal(small_topo):

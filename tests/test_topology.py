@@ -434,15 +434,6 @@ def test_overlay_does_not_mutate_topology():
     assert topo.links is before
 
 
-# -- socket binding ---------------------------------------------------------------
-
-def test_socket_halves():
-    topo = build_topology(small_spec(nodes_per_switch=2, nics_per_node=8))
-    for e in topo.endpoints_of_node(0):
-        nic = topo.nic_of_endpoint(e)
-        assert topo.socket_of_endpoint(e) == (0 if nic < 4 else 1)
-
-
 def test_spec_validation():
     with pytest.raises(TopologyError):
         TopologySpec(lanes_per_link=0).validate()
