@@ -37,12 +37,27 @@ and closes it when the message resolves.
 A port reads its link's rate from the overlay when it is made, and again
 when the link flaps.  The engine is the overlay's only writer during a run
 (``_on_fault``), so the rate a port holds is always current.
+
+Pending events are kept by instant: a heap of the distinct pending times,
+and for each time a bucket of its ``(t, seq, kind, payload)`` events.  Two
+rules hold:
+
+- Events fire in time order, and at one instant in push order, those
+  pushed while the instant drains included (``_push`` appends them to the
+  bucket being drained).  Simulated time never goes back.
+- Every event pop goes through ``heapq.heappop`` on its bucket, a list
+  appended in ``seq`` order and therefore a heap, and returns the
+  ``(t, seq, kind, payload)`` entry.  The benchmark's tracer
+  (``perfbench/tracing.py``) swaps this module's ``heapq`` to read those
+  entries; the heap of times uses names imported from ``heapq``, which it
+  does not see.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from heapq import heappop as pop_time, heappush as push_time
 from itertools import count
 
 from slingsim.cc import CongestionManager, Watch
@@ -208,8 +223,11 @@ class Engine:
                                     QOS_WINDOW_S)
 
         self.now = 0.0
-        self._heap: list = []
-        self._seq = count()  # heap tie-break: events at one time fire FIFO
+        self._times: list[float] = []  # heap of the distinct pending times
+        # pending time -> its bucket: the (t, seq, kind, payload) events due
+        # then, in push order, which keeps the list a heap by seq
+        self._buckets: dict[float, list] = {}
+        self._seq = count()
         self._buffer = POOL_CHUNKS * config.chunk_quantum_bytes
         self.cc = CongestionManager(overlay, config.chunk_quantum_bytes) \
             if config.cc_enabled else None
@@ -327,7 +345,13 @@ class Engine:
     # -- event plumbing -----------------------------------------------------------
 
     def _push(self, t: float, kind: int, payload=None) -> None:
-        heapq.heappush(self._heap, (t, next(self._seq), kind, payload))
+        """Schedule an event at ``t``, after every event already due then;
+        at the current instant it joins the bucket being drained."""
+        bucket = self._buckets.get(t)
+        if bucket is None:
+            bucket = self._buckets[t] = []
+            push_time(self._times, t)
+        bucket.append((t, next(self._seq), kind, payload))
 
     def _port(self, pid: int) -> Port:
         port = self.ports.get(pid)
@@ -367,45 +391,49 @@ class Engine:
         self._push(cfg.sweep_interval_s, K_SWEEP, None)
         self._release_ready()
 
-        heap = self._heap
+        times, buckets = self._times, self._buckets
         pop = heapq.heappop
         end = cfg.duration_s
         on_txdone, on_arrive = self._on_txdone, self._on_arrive
-        while heap:
-            t, _seq, kind, payload = pop(heap)
+        while times:
+            t = pop_time(times)
             if t > end:
                 self.now = end
                 break
             self.now = t
-            if kind == K_TX:
-                on_txdone(payload)
-            elif kind == K_ARRIVE:
-                on_arrive(payload)
-            elif kind == K_WAKEPORT:
-                payload.wake_at = INF
-                if payload.busy is None:
-                    self._kick_port(payload)
-            elif kind == K_WAKEINJ:
-                payload.wake_at = INF
-                self._run_injector(payload)
-            elif kind == K_TICK:
-                self._on_tick()
-                if self.unresolved:
-                    self._push(t + TICK_INTERVAL_S, K_TICK, None)
-            elif kind == K_SERIES:
-                self._on_series(t, SERIES_INTERVAL_S)
-                if self.unresolved:
-                    self._push(t + SERIES_INTERVAL_S, K_SERIES, None)
-            elif kind == K_SWEEP:
-                self.router.sweep()
-                if self.unresolved:
-                    self._push(t + cfg.sweep_interval_s, K_SWEEP, None)
-            elif kind == K_FAULT:
-                self._on_fault(*payload)
-            elif kind == K_RETRY:
-                self._on_retry(payload)
-            if not self.unresolved and not self._pending_faults:
-                break
+            bucket = buckets[t]
+            while bucket:
+                _t, _seq, kind, payload = pop(bucket)
+                if kind == K_TX:
+                    on_txdone(payload)
+                elif kind == K_ARRIVE:
+                    on_arrive(payload)
+                elif kind == K_WAKEPORT:
+                    payload.wake_at = INF
+                    if payload.busy is None:
+                        self._kick_port(payload)
+                elif kind == K_WAKEINJ:
+                    payload.wake_at = INF
+                    self._run_injector(payload)
+                elif kind == K_TICK:
+                    self._on_tick()
+                    if self.unresolved:
+                        self._push(t + TICK_INTERVAL_S, K_TICK, None)
+                elif kind == K_SERIES:
+                    self._on_series(t, SERIES_INTERVAL_S)
+                    if self.unresolved:
+                        self._push(t + SERIES_INTERVAL_S, K_SERIES, None)
+                elif kind == K_SWEEP:
+                    self.router.sweep()
+                    if self.unresolved:
+                        self._push(t + cfg.sweep_interval_s, K_SWEEP, None)
+                elif kind == K_FAULT:
+                    self._on_fault(*payload)
+                elif kind == K_RETRY:
+                    self._on_retry(payload)
+                if not self.unresolved and not self._pending_faults:
+                    return self._report()
+            del buckets[t]
         return self._report()
 
     # -- schedule release -----------------------------------------------------------
@@ -527,17 +555,16 @@ class Engine:
                 else:
                     wake = t if wake is None else min(wake, t)
             if chunk is None:
-                msg = self._next_message(inj, out, buffer, quantum)
+                msg, bucket, t = self._next_message(inj, out, buffer, quantum)
                 if msg is None:
-                    break
-                if isinstance(msg, float):  # earliest unblock time
-                    wake = msg if wake is None else min(wake, msg)
+                    if t is not None:
+                        wake = t if wake is None else min(wake, t)
                     break
                 chunk = self._make_chunk(msg, quantum)
                 if chunk is None:
                     continue  # no route: the chunk retries; try others
-            # hand the chunk to the edge-out port
-            bucket = self._throttle(chunk.msg)
+            # hand the chunk to the edge-out port, charging the throttle it
+            # was checked against
             if bucket is not None:
                 bucket.tokens -= chunk.length
             out.committed[0] += chunk.length
@@ -552,8 +579,11 @@ class Engine:
             self._push(wake, K_WAKEINJ, inj)
 
     def _next_message(self, inj: Injector, out: Port, buffer: int, quantum: int):
-        """Next releasable message in round-robin order, None when idle, or a
-        float wake time when everything is throttle-blocked."""
+        """``(msg, bucket, None)``: the next releasable message in round-robin
+        order and the throttle it passed (None without one).  Else
+        ``(None, None, wake)``: ``wake`` is the earliest unblock time when
+        everything is throttle-blocked, None when idle or waiting for
+        credit."""
         n = len(inj.active)
         earliest: float | None = None
         for i in range(n):
@@ -568,13 +598,13 @@ class Engine:
                 continue
             if out.committed[0] + length > buffer:
                 self._wait_on(out, inj)
-                return None
+                return None, None, None
             inj.rr = (inj.rr + i) % n
-            return msg
+            return msg, bucket, None
         inj.active = [m for m in inj.active
                       if not (m.done or m.released >= m.size)]
         inj.rr = 0
-        return earliest
+        return None, None, earliest
 
     def _make_chunk(self, msg: Message, quantum: int) -> Chunk | None:
         """Cut ``msg``'s next chunk and route it; None when it found no
@@ -628,7 +658,7 @@ class Engine:
         blocked.clear()
         if wake is not None and wake < port.wake_at:
             port.wake_at = wake
-            heapq.heappush(self._heap, (wake, next(self._seq), K_WAKEPORT, port))
+            self._push(wake, K_WAKEPORT, port)
 
     def _can_send(self, chunk: Chunk) -> bool:
         """Credit gate of ``arbitrate``: room for ``chunk`` in its next pool.
@@ -655,8 +685,7 @@ class Engine:
         if self.link_gen:  # else no link has flapped: every generation is 0
             chunk.tx_gen = self.link_gen.get(port.link_id, 0)
         port.busy = chunk
-        heapq.heappush(self._heap, (self.now + chunk.length / rate,
-                                    next(self._seq), K_TX, port))
+        self._push(self.now + chunk.length / rate, K_TX, port)
 
     def _on_txdone(self, port: Port) -> None:
         chunk = port.busy
@@ -673,8 +702,7 @@ class Engine:
                 and self.link_gen.get(link_id, 0) != chunk.tx_gen:
             self._lose_chunk(chunk, chunk.hop + 1, link_id)
         else:
-            heapq.heappush(self._heap, (self.now + port.delay,
-                                        next(self._seq), K_ARRIVE, chunk))
+            self._push(self.now + port.delay, K_ARRIVE, chunk)
         self._kick_port(port)
 
     @staticmethod
@@ -689,12 +717,9 @@ class Engine:
         if not waiters:
             return
         port.waiters = None
-        heap, seq, now = self._heap, self._seq, self.now
+        push, now = self._push, self.now
         for w in waiters:
-            if isinstance(w, Injector):
-                heapq.heappush(heap, (now, next(seq), K_WAKEINJ, w))
-            else:
-                heapq.heappush(heap, (now, next(seq), K_WAKEPORT, w))
+            push(now, K_WAKEINJ if isinstance(w, Injector) else K_WAKEPORT, w)
 
     def _on_arrive(self, chunk: Chunk) -> None:
         path = chunk.path

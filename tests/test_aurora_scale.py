@@ -43,7 +43,8 @@ PORT_BYTES = 1200
 # the most bytes the sparse 64 KiB permutation may hold at once, per rank:
 # at the peak a rank has made about 4.8 ports (about 3.5 KB with their
 # queues and port ids) and has nearly all 16 chunks of its message in
-# flight, each an 80 B chunk and a heap event of about 110 B (about 3 KB);
+# flight, each an 80 B chunk and a pending event of about 110 B (about 3 KB;
+# the events due at one instant share one bucket, about 20 B more per rank);
 # with its message, the route tables and the rest, the run peaks at about
 # 9.1 KB per rank.  A path tuple per chunk, with its two edge port ids,
 # took about 2.1 KB more (11.2 KB per rank)

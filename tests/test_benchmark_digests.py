@@ -6,6 +6,11 @@ budget, and the harness's output checks.  The digests are the ones every
 speed and deletion change has kept so far; a change that moves one changes
 simulated behaviour and must say why.  The benchmark is only read from
 here, never changed.
+
+A traced repetition of each workload on seed 1 pins the per-layer counts
+the benchmark's tracer takes at the engine's ``heapq`` reference: events by
+kind, events that fire without the clock moving, and QoS enqueues.  An
+event-set change that breaks the tracer's view of the events fails here.
 """
 
 import sys
@@ -16,7 +21,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
 
-from harness import check_finished, run_with_budget, set_up  # noqa: E402
+from harness import check_finished, run_rep, run_with_budget, set_up  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 DIGESTS = {
@@ -47,3 +52,33 @@ def test_benchmark_digest(name, seed):
     assert report is not None, f"{name} outran its {wdef.budget_s} s budget"
     check_finished(report, engine)
     assert report.digest == DIGESTS[name, seed]
+
+
+# traced counts of seed 1: events by kind (tx, arrive, wakeport, wakeinj,
+# tick, series; no sweep, fault or retry fires), zero-advance events and
+# QoS enqueues
+TRACED = {
+    "perm_1m": ((144_832, 144_832, 37_279, 31_744, 76, 3), 280_664, 144_832),
+    "aurora_sparse": ((79_680, 79_680, 365, 8_192, 5, 0), 167_301, 79_680),
+    "incast_cc": ((8_126, 8_126, 5_895, 1_086, 43, 1), 20_491, 8_126),
+}
+KINDS = ("tx", "arrive", "wakeport", "wakeinj", "tick", "series", "sweep",
+         "fault", "retry")
+
+
+def test_every_workload_is_traced():
+    assert set(TRACED) == set(WORKLOADS)
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_traced_counts(name):
+    wdef = WORKLOADS[name]
+    rep = run_rep(wdef, wdef.make(wdef.spec, 1), 1, traced=True)
+    assert not rep.stopped and rep.identity["digest"] == DIGESTS[name, 1]
+    layers = rep.layers
+    by_kind, zero_advance, enqueues = TRACED[name]
+    assert tuple(layers[f"engine.events.{k}"] for k in KINDS) \
+        == by_kind + (0, 0, 0)
+    assert layers["engine.events"] == sum(by_kind)
+    assert layers["engine.zero_advance_events"] == zero_advance
+    assert layers["qos.enqueue.calls"] == enqueues

@@ -1,22 +1,26 @@
 """Engine paths no golden run reaches: flows without any route, the
 release of congestion throttles, ordered flows losing their pinned link,
-phase barriers, chunks sharing their message's path, and the schedules,
-settings and faults the engine must reject.
+phase barriers, chunks sharing their message's path, the order events
+fire in, and the schedules, settings and faults the engine must reject.
 
 Every run that finishes goes through ``test_engine_digest.run``, so it
 shares its host-time budget and its byte-balance and credit-drain checks.
 """
 
+import heapq
+from types import SimpleNamespace
+
 import pytest
 
+from slingsim import engine as engine_mod
 from slingsim.cc import CongestionManager
-from slingsim.engine import K_ARRIVE, MAX_RETRIES, RETRY_TIMEOUT_S, Engine, \
-    SimConfig, SimConfigError
+from slingsim.engine import K_ARRIVE, K_FAULT, K_RETRY, K_SWEEP, \
+    MAX_RETRIES, RETRY_TIMEOUT_S, Engine, SimConfig, SimConfigError
 from slingsim.routing import Router
 from slingsim.topology import GLOBAL, StateOverlay, TopologyError, port_id, \
     port_key
 
-from test_engine_digest import KIB, Phase, Placement, Schedule, \
+from test_engine_digest import FLAPS, KIB, Phase, Placement, Schedule, \
     first_global, incast_with_background, make_engine, permutation, run, \
     run_loaded
 
@@ -167,9 +171,44 @@ def in_flight(engine):
     chunks = [c for port in engine.ports.values() for lane in port.lanes
               for q in lane.queues for c in q]
     chunks += [port.busy for port in engine.ports.values() if port.busy]
-    chunks += [payload for _, _, kind, payload in engine._heap
-               if kind == K_ARRIVE]
+    chunks += [payload for bucket in engine._buckets.values()
+               for _, _, kind, payload in bucket if kind == K_ARRIVE]
     return chunks
+
+
+@pytest.mark.parametrize("workload, cc, extra", [
+    (permutation(128, 64 * KIB, 1), False, {}),
+    (incast_with_background(128, 64 * KIB, 1), True, {}),
+    (permutation(128, 64 * KIB, 1), False,
+     dict(flaps=FLAPS, sweep_interval_s=20e-6)),
+], ids=["permutation", "ordered_incast_cc", "flaps_retries_sweeps"])
+def test_events_fire_in_time_then_push_order(monkeypatch, workload, cc,
+                                             extra):
+    """Every event the run pops, read through ``engine.heapq.heappop`` as
+    the benchmark's tracer reads it, is a ``(t, seq, kind, payload)`` entry,
+    and their ``(t, seq)`` stream strictly increases: the clock never goes
+    back, and events due at one instant fire in the order they were
+    pushed, those pushed while the instant drains included."""
+    popped = []
+    pop = heapq.heappop
+
+    def recorded(heap):
+        item = pop(heap)
+        popped.append(item)
+        return item
+
+    monkeypatch.setattr(engine_mod, "heapq", SimpleNamespace(
+        heappush=heapq.heappush, heappop=recorded))
+    engine, report = run(workload, cc, **extra)
+    assert report.incomplete_messages == 0
+    assert all(len(item) == 4 for item in popped)
+    keys = [item[:2] for item in popped]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert popped[-1][0] == engine.now
+    # most instants fire several events, so the order within one is tested
+    assert len({t for t, _ in keys}) < len(keys) / 2
+    kinds = {item[2] for item in popped}
+    assert ({K_FAULT, K_RETRY, K_SWEEP} <= kinds) == ("flaps" in extra)
 
 
 @pytest.mark.parametrize("workload, cc", [
