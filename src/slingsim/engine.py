@@ -214,6 +214,11 @@ class Engine:
             raise SimConfigError(
                 f"SimConfig.seed {config.seed} differs from the router's "
                 f"seed {router.seed}")
+        # faults write the engine's overlay and sweeps read the router's
+        for name, mine, its in (("topology", topo, router.topo),
+                                ("overlay", overlay, router.overlay)):
+            if its is not mine:
+                raise SimConfigError(f"the router's {name} is not the engine's")
         self.topo = topo
         self._total_endpoints = topo.total_endpoints
         self.overlay = overlay
@@ -244,7 +249,6 @@ class Engine:
         self.failed_bytes = 0
         self.timeout_events: list[TimeoutEvent] = []
         self.flap_events: list[FlapEvent] = []
-        self.per_ep_delivered: dict[int, int] = {}
         self.series: list[tuple[float, float, int, int]] = []
         self._series_last_bytes = 0
 
@@ -257,13 +261,11 @@ class Engine:
         self._rank_next: list[int] = []
         self._outstanding: list[int] = []
         self._window = DEFAULT_WINDOW
-        self._barrier = "none"
-        self._rank_phase: list[int] = []
-        # messages of each phase not yet resolved, per rank sending or
-        # receiving them and in all
-        self._rank_left: list[list[int]] = []
-        self._phase_left: list[int] = []
-        self._global_phase = 0
+        # phase gates (see load): each rank's gate, each gate's phase and
+        # its unresolved messages per phase
+        self._gate_of: list[int] = []
+        self._gate_phase: list[int] = []
+        self._gate_left: list[list[int]] = []
 
     # -- setup -----------------------------------------------------------------
 
@@ -286,11 +288,19 @@ class Engine:
         self._faults.append((t_down, link, duration))
 
     def load(self, placement, schedule) -> None:
-        """Install a workload: one message per schedule entry, released per
-        phase-barrier rules and the per-rank outstanding window.  A message
+        """Install a workload: one message per schedule entry.  A message
         must carry a byte: arbitration never serves a lone chunk of none.
         An engine runs one workload, so it takes one load, and a load that
-        raises installs nothing."""
+        raises installs nothing.
+
+        Each rank issues its messages in schedule order, at most ``window``
+        outstanding, and a phase-p one once its gate has reached p.  Under
+        ``"rank"`` each rank has its own gate, under ``"global"`` all share
+        one, and under ``"none"`` all share one open from the start at
+        ``len(phases)``.  A gate passes a phase once every message of it
+        sent or received by the gate's ranks has resolved.  When a message
+        resolves, ranks 0..n-1 issue in turn if the shared gate moved, else
+        its source rank and then its destination rank if another."""
         n = placement.ranks
         if self._rank_queues:
             raise SimConfigError("the engine already holds a workload")
@@ -308,8 +318,9 @@ class Engine:
         phases = schedule.phases
         messages: list[Message] = []
         queues: list[list[Message]] = [[] for _ in range(n)]
-        rank_left = [[0] * len(phases) for _ in range(n)]
-        phase_left = [0] * len(phases)
+        rank_gates = schedule.barrier == "rank"
+        gate_of = list(range(n)) if rank_gates else [0] * n
+        gate_left = [[0] * len(phases) for _ in range(n if rank_gates else 1)]
         for p, phase in enumerate(phases):
             for (src_rank, dst_rank, size, ordered) in phase.messages:
                 if not (0 <= src_rank < n and 0 <= dst_rank < n):
@@ -324,22 +335,22 @@ class Engine:
                     src_rank=src_rank, dst_rank=dst_rank)
                 messages.append(msg)
                 queues[src_rank].append(msg)
-                rank_left[src_rank][p] += 1
-                if dst_rank != src_rank:
-                    rank_left[dst_rank][p] += 1
-                phase_left[p] += 1
+                gate_left[gate_of[src_rank]][p] += 1
+                if gate_of[dst_rank] != gate_of[src_rank]:
+                    gate_left[gate_of[dst_rank]][p] += 1
         if messages and not self.config.duration_s > 0:
             raise SimConfigError("duration_s must be > 0 for a nonempty workload")
-        self._barrier = schedule.barrier
         self._window = schedule.window or DEFAULT_WINDOW
         self.messages = messages
         self._rank_queues = queues
         self._outstanding = [0] * n
         self._rank_next = [0] * n
-        self._rank_left = rank_left
-        self._phase_left = phase_left
-        self._rank_phase = [0] * n
-        self._advance_phases(range(n))  # past phases with nothing to wait for
+        self._gate_of = gate_of
+        self._gate_left = gate_left
+        opened = len(phases) if schedule.barrier == "none" else 0
+        self._gate_phase = [opened] * len(gate_left)
+        for gate in range(len(gate_left)):
+            self._advance(gate)  # past phases with nothing to wait for
         self.unresolved = len(messages)
 
     # -- event plumbing -----------------------------------------------------------
@@ -438,23 +449,17 @@ class Engine:
 
     # -- schedule release -----------------------------------------------------------
 
-    def _rank_may_issue(self, rank: int, phase: int) -> bool:
-        if self._barrier == "none":
-            return True
-        if self._barrier == "global":
-            return phase <= self._global_phase
-        return phase <= self._rank_phase[rank]
-
     def _release_ready(self) -> None:
         for rank in range(len(self._rank_queues)):
             self._release_rank(rank)
 
     def _release_rank(self, rank: int) -> None:
         queue = self._rank_queues[rank]
+        gate_phase = self._gate_phase[self._gate_of[rank]]
         while (self._rank_next[rank] < len(queue)
                and self._outstanding[rank] < self._window):
             msg = queue[self._rank_next[rank]]
-            if not self._rank_may_issue(rank, msg.phase):
+            if msg.phase > gate_phase:
                 break
             self._rank_next[rank] += 1
             self._outstanding[rank] += 1
@@ -479,40 +484,29 @@ class Engine:
         self.unresolved -= 1
         if msg.ordered:
             self.router.close_flow(msg.src, msg.dst, msg.traffic_class)
-        rank = msg.src_rank
-        self._outstanding[rank] -= 1
-        p = msg.phase
-        self._rank_left[rank][p] -= 1
-        unlocked = [rank]
-        if msg.dst_rank != rank:
-            self._rank_left[msg.dst_rank][p] -= 1
-            unlocked.append(msg.dst_rank)
-        self._phase_left[p] -= 1
-        if self._advance_phases(unlocked):
-            self._release_ready()
+        src, dst = msg.src_rank, msg.dst_rank
+        self._outstanding[src] -= 1
+        gate, dst_gate = self._gate_of[src], self._gate_of[dst]
+        self._gate_left[gate][msg.phase] -= 1
+        if dst_gate != gate:
+            self._gate_left[dst_gate][msg.phase] -= 1
+            self._advance(dst_gate)
+        if self._advance(gate) and len(self._gate_phase) == 1:
+            self._release_ready()  # the shared gate moved
         else:
-            for r in unlocked:
-                self._release_rank(r)
+            self._release_rank(src)
+            if dst != src:
+                self._release_rank(dst)
 
-    def _advance_phases(self, ranks) -> bool:
-        """Move the barrier past every finished phase: the phase of each
-        rank in ``ranks`` under the rank barrier, the global phase under
-        the global one.  Returns whether the global phase moved."""
-        phases = len(self._phase_left)
-        if self._barrier == "rank":
-            for r in ranks:
-                left = self._rank_left[r]
-                p = self._rank_phase[r]
-                while p < phases and left[p] <= 0:
-                    p += 1
-                self._rank_phase[r] = p
-        elif self._barrier == "global":
-            start = p = self._global_phase
-            while p < phases and self._phase_left[p] <= 0:
-                p += 1
-            self._global_phase = p
-            return p != start
-        return False
+    def _advance(self, gate: int) -> bool:
+        """Move ``gate`` past every phase its ranks have finished; returns
+        whether it moved."""
+        left = self._gate_left[gate]
+        start = p = self._gate_phase[gate]
+        while p < len(left) and left[p] <= 0:
+            p += 1
+        self._gate_phase[gate] = p
+        return p != start
 
     def _fail(self, msg: Message) -> None:
         msg.failed = True
@@ -698,8 +692,9 @@ class Engine:
         if port.waiters:
             self._wake_waiters(port)
 
-        if not port.rate or self.link_gen \
-                and self.link_gen.get(link_id, 0) != chunk.tx_gen:
+        # the link went down during the transmission (a port of rate 0
+        # starts none, and the fault that zeroes it bumps the generation)
+        if self.link_gen and self.link_gen.get(link_id, 0) != chunk.tx_gen:
             self._lose_chunk(chunk, chunk.hop + 1, link_id)
         else:
             self._push(self.now + port.delay, K_ARRIVE, chunk)
@@ -747,8 +742,6 @@ class Engine:
         msg = chunk.msg
         msg.delivered += chunk.length
         self.delivered_bytes += chunk.length
-        self.per_ep_delivered[msg.dst] = \
-            self.per_ep_delivered.get(msg.dst, 0) + chunk.length
         if not msg.done and msg.delivered >= msg.size:
             msg.completion_time = self.now
             self._resolve(msg)
@@ -862,11 +855,15 @@ class Engine:
                 failed=m.failed)
             for m in self.messages
         ]
+        per_endpoint: dict[int, int] = {}
+        for m in self.messages:
+            if m.delivered:
+                per_endpoint[m.dst] = per_endpoint.get(m.dst, 0) + m.delivered
         return SimReport(
             seed=self.config.seed,
             duration=self.now,
             messages=records,
-            per_endpoint_delivered=dict(sorted(self.per_ep_delivered.items())),
+            per_endpoint_delivered=dict(sorted(per_endpoint.items())),
             series=list(self.series),
             timeout_events=list(self.timeout_events),
             flap_events=list(self.flap_events),

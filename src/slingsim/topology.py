@@ -585,7 +585,7 @@ class StateOverlay:
 
     def excluded_links(self) -> frozenset[int]:
         """Links currently down or in maintenance."""
-        return frozenset(l for l, st in sorted(self._states.items())
+        return frozenset(l for l, st in self._states.items()
                          if st.status != STATUS_UP)
 
 

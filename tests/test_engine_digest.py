@@ -1,8 +1,10 @@
 """Golden-digest engine runs on the bench fabric.
 
 Each scenario pins the report digest recorded before the per-chunk hot path
-was reworked, so any change to an event, an RNG draw or a tie-break in the
-engine, QoS arbitration or route selection shows up as a digest mismatch.
+was reworked, and the phased ones the digests recorded before the phase
+barriers became gates, so any change to an event, an RNG draw, a release
+order or a tie-break in the engine, QoS arbitration or route selection shows
+up as a digest mismatch.
 Every run must also conserve bytes and hand back every buffer credit, and
 finish within a host-time budget, so a run that stops making progress fails
 instead of hanging the suite.
@@ -268,3 +270,66 @@ def test_long_flap_bounds_retries():
     per_message = Counter(e.message_id for e in report.timeout_events)
     assert max(per_message.values()) <= \
         chunks * (MAX_RETRIES + 1)
+
+
+def phased(n: int, size: int, seed: int, barrier: str, window: int = 0,
+           ordered: bool = False):
+    """Three phases on ``n`` ranks, so the gates of the phase barriers move.
+    Phase 0 is a derangement of ``size``-byte messages, with a second message
+    of half that size from every fourth rank.  In phase 1 only the even
+    ranks send, twice ``size`` to the rank a quarter of the way round, so the
+    odd ranks that receive nothing in it have no work there.  Phase 2 is
+    another derangement of sizes drawn from 1 B to ``size``.  ``ordered``
+    marks the messages of phases 0 and 2 ordered."""
+    rng = random.Random(seed)
+    perm = derangement(n, rng)
+    first = [(r, perm[r], size, ordered) for r in range(n)]
+    first += [(r, (r + n // 2) % n, size // 2, False) for r in range(0, n, 4)]
+    second = [(r, (r + n // 4) % n, 2 * size, False) for r in range(0, n, 2)]
+    perm = derangement(n, rng)
+    third = [(r, perm[r], rng.randint(1, size), ordered) for r in range(n)]
+    return (Placement(n, tuple(range(n))),
+            Schedule((Phase(tuple(first)), Phase(tuple(second)),
+                      Phase(tuple(third))), barrier=barrier, window=window))
+
+
+# (barrier, window, variant) -> digest of phased(128, 16 KiB, seed 1): CC off
+# and unordered, or CC on with ordered messages, or CC off with FLAPS
+BARRIER_DIGESTS = {
+    ("none", 0, "plain"):
+        "0011023a54985ac56a5da88b56bfd01cfe7c53ed959a7c3072ec152a5b9f548b",
+    ("none", 1, "plain"):
+        "e0ad5f84d8477161e739e2c098abed50d07fec9508929527c0b5c5f3aa381e4a",
+    ("rank", 0, "plain"):
+        "229a425cc062ef85e6fcb395121d315a413fbdec019409ab3e264c3851a6667a",
+    ("rank", 1, "plain"):
+        "ae91cbbc8aa80528a42dd88da396c29c959466ee391ee4c0dce941e0ccbd641d",
+    ("global", 0, "plain"):
+        "3c3e98412742a05042d39a696117764314e4fc2926e05211c5a77bf2d18aed73",
+    ("global", 1, "plain"):
+        "0dcfac1dcc0fbd91721c235fa2265c14c5e698bff3718edf83195bef40ab0b6a",
+    ("rank", 0, "ordered_cc"):
+        "579bc8a232a0b6bbe786cb2b83cf22b4627a21b790fde9835c42ae4bf9738a36",
+    ("global", 1, "ordered_cc"):
+        "19496bf8171dd0c7240159aad5f1133b5b4031f4d9c98c66a4cde28f3cbc05a9",
+    ("rank", 0, "flaps"):
+        "be0ee6dcaca13aab165949490ae2769b88d92c42725a41c04ebb1558ce15fd4d",
+    ("global", 0, "flaps"):
+        "73be66d7fb10a6318a07acd9cb56e4a5a4f2836583ae435e667d3fec345433cf",
+}
+
+
+@pytest.mark.parametrize("barrier, window, variant", sorted(BARRIER_DIGESTS),
+                         ids=lambda v: str(v))
+def test_phased_barrier_digest(barrier, window, variant):
+    """Each barrier, window and variant releases phased messages in its own
+    order, so no two of the pinned digests agree; every message completes,
+    and no byte fails."""
+    _, report = run(phased(128, 16 * KIB, 1, barrier, window,
+                           ordered=variant == "ordered_cc"),
+                    cc=variant == "ordered_cc",
+                    flaps=FLAPS if variant == "flaps" else ())
+    assert report.digest == BARRIER_DIGESTS[barrier, window, variant]
+    assert report.incomplete_messages == 0 and report.failed_bytes == 0
+    assert (report.timeout_count > 0) == (variant == "flaps")
+    assert len(set(BARRIER_DIGESTS.values())) == len(BARRIER_DIGESTS)

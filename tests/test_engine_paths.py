@@ -16,10 +16,12 @@ from slingsim import engine as engine_mod
 from slingsim.cc import CongestionManager
 from slingsim.engine import K_ARRIVE, K_FAULT, K_RETRY, K_SWEEP, \
     MAX_RETRIES, RETRY_TIMEOUT_S, Engine, SimConfig, SimConfigError
-from slingsim.routing import Router
-from slingsim.topology import GLOBAL, StateOverlay, TopologyError, port_id, \
-    port_key
+from slingsim.qos import default_profile
+from slingsim.routing import Router, RoutingPolicy
+from slingsim.topology import GLOBAL, StateOverlay, TopologyError, \
+    build_topology, port_id, port_key
 
+from conftest import bench_spec
 from test_engine_digest import FLAPS, KIB, Phase, Placement, Schedule, \
     first_global, incast_with_background, make_engine, permutation, run, \
     run_loaded
@@ -375,6 +377,21 @@ def test_seed_other_than_the_routers_is_rejected():
     be the seed the router's sampling draws from."""
     with pytest.raises(SimConfigError, match=r"seed 2 .* seed 1"):
         make_engine(seed=2)  # the router of make_engine has seed 1
+
+
+@pytest.mark.parametrize("other", ["overlay", "topology"])
+def test_router_on_another_overlay_or_topology_is_rejected(other):
+    """Faults write the engine's overlay and sweeps read the router's, so
+    with a router on a second overlay a sweep never excludes a link that a
+    flap took down.  The engine takes only a router built on its own
+    topology and overlay, and the error names the one that differs."""
+    topo = build_topology(bench_spec())
+    overlay = StateOverlay(topo)
+    router_topo = build_topology(bench_spec()) if other == "topology" else topo
+    router = Router(router_topo, StateOverlay(router_topo), RoutingPolicy(),
+                    seed=1)
+    with pytest.raises(SimConfigError, match=other):
+        Engine(topo, overlay, router, default_profile(), SimConfig(seed=1))
 
 
 @pytest.mark.parametrize("config", [
