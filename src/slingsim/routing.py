@@ -18,6 +18,13 @@ detour crosses two global links, so its (cost, weight) is at least
 (0, 3 x bias).  Once a candidate reaches that floor, as an idle minimal
 route of weight at most 3 x bias does, the remaining detours are neither
 enumerated nor scored, and the choice is the same as scoring them all.
+A router scores each route set at most once per congestion view: for each
+(source switch, destination switch) it keeps a scorecard of the best route
+of the pair's minimal set and of each detour set its decisions have reached,
+for one view and one set of swept tables.  The intermediate groups are
+drawn with exactly the RNG calls ``random.sample`` makes on the list of
+candidate groups, so picks and RNG stream are those of scoring every set
+afresh and sampling that list.
 
 A route (``Route``, an alias of ``tuple[int, ...]``) is the tuple of
 directed port ids (``topology.port_id``) it travels, each port leaving the
@@ -35,7 +42,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
 
 from slingsim.topology import StateOverlay, Topology, port_id, port_key
 
@@ -67,7 +73,7 @@ class RoutingPolicy:
             raise RoutingError("intermediate_samples must be >= 1")
 
 
-_ZEROS = repeat(0.0)  # default occupancy of every port absent from a view
+_UNSEEN = object()  # a scorecard's entry for a group no decision has reached
 
 
 class CongestionView:
@@ -87,7 +93,15 @@ class CongestionView:
             raise RoutingError("congestion view entries must be non-negative")
 
     def route_max_occupancy(self, route: Route) -> float:
-        return max(map(self._occ.get, route, _ZEROS), default=0.0)
+        # a plain loop: about twice as fast as max() over a map for routes
+        # of a few hops
+        get = self._occ.get
+        top = 0.0
+        for port in route:
+            occ = get(port, 0.0)
+            if occ > top:
+                top = occ
+        return top
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -211,34 +225,41 @@ class RoutingTables:
     """Frozen link-usability snapshot plus memoized route sets.
 
     Produced by :func:`routing_sweep`; route enumeration against the tables
-    reflects the fabric state at sweep time.
+    reflects the fabric state at sweep time.  A key with no route set keeps
+    its ``NoRouteError`` too, and every later lookup of it raises one with
+    the same message, since the answer cannot change before the next sweep.
     """
 
     def __init__(self, topo: Topology, excluded: frozenset[int]):
         self.topo = topo
         self.excluded = excluded
-        self._minimal: dict[tuple[int, int], tuple[Route, ...]] = {}
-        self._nonminimal: dict[tuple[int, int, int], tuple[Route, ...]] = {}
+        # route sets by key; a key without one keeps its error's message
+        self._minimal: dict[tuple[int, int], tuple[Route, ...] | str] = {}
+        self._nonminimal: dict[tuple[int, int, int],
+                               tuple[Route, ...] | str] = {}
 
     def link_usable(self, link: int) -> bool:
         return link not in self.excluded
 
     def minimal_routes(self, src_switch: int, dst_switch: int) -> tuple[Route, ...]:
-        key = (src_switch, dst_switch)
-        routes = self._minimal.get(key)
-        if routes is None:
-            routes = enumerate_minimal_routes(self.topo, self, src_switch, dst_switch)
-            self._minimal[key] = routes
-        return routes
+        return self._routes(self._minimal, enumerate_minimal_routes,
+                            (src_switch, dst_switch))
 
     def nonminimal_routes(self, src_switch: int, dst_switch: int,
                           group: int) -> tuple[Route, ...]:
-        key = (src_switch, dst_switch, group)
-        routes = self._nonminimal.get(key)
+        return self._routes(self._nonminimal, enumerate_nonminimal_routes,
+                            (src_switch, dst_switch, group))
+
+    def _routes(self, memo: dict, enumerate_routes, key: tuple):
+        routes = memo.get(key)
         if routes is None:
-            routes = enumerate_nonminimal_routes(
-                self.topo, self, src_switch, dst_switch, group)
-            self._nonminimal[key] = routes
+            try:
+                routes = enumerate_routes(self.topo, self, *key)
+            except NoRouteError as e:
+                routes = str(e)
+            memo[key] = routes
+        if type(routes) is str:
+            raise NoRouteError(routes)
         return routes
 
 
@@ -266,6 +287,16 @@ class Router:
     ``[pinned route or None, pending messages]``; an entry lives while its
     pending count is positive, and its route is None while the flow has no
     usable route.
+
+    Each route set is scored at most once per view.  A decision reads one
+    scorecard per (source switch, destination switch), kept for one view
+    and one ``tables`` and dropped when either changes: the best
+    ``(cost, w, route)`` of the pair's minimal set (None when it has no
+    minimal route), and of the detour set of each intermediate group the
+    pair's decisions have reached (None when the group is unreachable).  A
+    view never changes and a set is always scored with the same weight, so
+    a card answers as scoring the set again would.  The intermediate groups
+    are drawn with exactly the RNG calls ``random.sample`` makes.
     """
 
     def __init__(self, topo: Topology, overlay: StateOverlay,
@@ -278,23 +309,11 @@ class Router:
         self.flows: dict[tuple[int, int, int], list] = {}
         self.seed = seed
         self.rng = random.Random(seed)
-        # the indices drawn from by _sample_intermediates, one list for
-        # each count of other groups; random.sample takes a list faster
-        # than a range, whose Sequence check goes through the ABC registry
-        groups = len(topo.group_kinds)
-        self._indices = {groups - 2: list(range(groups - 2)),
-                         groups - 1: list(range(groups - 1))}
-        # (cost, w, route) of the best route of each route set of ``tables``
-        # scored against one view, keyed by id(route set); holding ``tables``
-        # keeps the sets, and so their ids, alive.  The memo is exact for
-        # that view: a view never changes, and a set is always scored with
-        # the same weight, so a hit rescores nothing.  Keeping the score is
-        # cheap: the memo lives for one view and holds one entry per set
-        # scored in it, and detour sets the floor in ``_argmin`` skips are
-        # neither enumerated nor memoised, so on a lightly loaded view it is
-        # mostly minimal sets.
-        self._memo: dict[int, tuple[float, float, Route]] = {}
-        self._memo_for: tuple = (None, None)  # (view, tables)
+        self._eps = topo.spec.endpoints_per_switch
+        self._spg = topo.spec.switches_per_group
+        self._groups = len(topo.group_kinds)
+        self._cards: dict[tuple[int, int], tuple] = {}
+        self._cards_view = self._cards_tables = None
 
     def sweep(self) -> RoutingTables:
         self.tables = routing_sweep(self.topo, self.overlay, self.tables)
@@ -303,23 +322,50 @@ class Router:
     def _sample_intermediates(self, ga: int, gb: int) -> list[int]:
         """Up to ``intermediate_samples`` groups other than ``ga`` and
         ``gb``, drawn without replacement; all of them, in order and
-        without a draw, when there are no more than that.  The draw is
-        over the indices of the ascending list of those groups, which
-        ``random.sample`` draws with the same RNG calls as the list
-        itself, and each index then steps past ``ga`` and ``gb``."""
-        lo, hi = (ga, gb) if ga < gb else (gb, ga)
-        groups = len(self.topo.group_kinds)
+        without a draw, when there are no more than that.  The draw makes
+        the ``getrandbits`` calls ``random.sample`` makes on the ascending
+        list of those groups, and picks the same ones: it draws an index
+        into that list and steps it past ``ga`` and ``gb``."""
+        if ga < gb:
+            lo, hi = ga, gb
+        else:
+            lo, hi = gb, ga
+        groups = self._groups
         # index g of the other groups is group g, plus one at or past lo and
         # one more at or past top, hi's index once lo is left out
-        m, top = (groups - 1, groups) if lo == hi else (groups - 2, hi - 1)
-        k = min(self.policy.intermediate_samples, m)
-        if k == m:  # also when there is no other group
+        if lo == hi:
+            m, top = groups - 1, groups
+        else:
+            m, top = groups - 2, hi - 1
+        k = self.policy.intermediate_samples
+        if k >= m:  # also when there is no other group
             return [g for g in range(groups) if g != lo and g != hi]
-        picks = self.rng.sample(self._indices[m], k)
-        for n in range(k):  # in place: cheaper than a new list for small k
-            g = picks[n]
-            if g >= lo:
-                picks[n] = g + 1 + (g >= top)
+        getrandbits = self.rng.getrandbits
+        picks = []
+        # random.sample keeps a pool of the indices not yet drawn while
+        # that list is smaller than a set of k picks, and redraws an index
+        # already drawn otherwise
+        if m <= (21 + 4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 21):
+            pool = list(range(m))
+            n = m
+            while n > m - k:
+                bits = n.bit_length()
+                j = getrandbits(bits)
+                while j >= n:
+                    j = getrandbits(bits)
+                n -= 1
+                g = pool[j]
+                pool[j] = pool[n]
+                picks.append(g + (g >= lo) + (g >= top))
+        else:
+            bits = m.bit_length()
+            drawn = set()
+            for _ in range(k):
+                g = getrandbits(bits)
+                while g >= m or g in drawn:
+                    g = getrandbits(bits)
+                drawn.add(g)
+                picks.append(g + (g >= lo) + (g >= top))
         return picks
 
     def select_route(self, src_endpoint: int, dst_endpoint: int,
@@ -389,67 +435,66 @@ class Router:
 
     def _decide(self, src_endpoint: int, dst_endpoint: int,
                 view: CongestionView) -> Route:
-        src_sw = self.topo.switch_of_endpoint(src_endpoint)
-        dst_sw = self.topo.switch_of_endpoint(dst_endpoint)
-        try:
-            minimal = self.tables.minimal_routes(src_sw, dst_sw)
-        except NoRouteError:
-            if self.policy.mode == "minimal":
-                raise
-            minimal = ()
-
-        sampled = ()
-        if self.policy.mode == "adaptive":
-            ga = self.topo.group_of_switch(src_sw)
-            gb = self.topo.group_of_switch(dst_sw)
-            sampled = self._sample_intermediates(ga, gb)
-        route = self._argmin(minimal, src_sw, dst_sw, sampled, view)
-        if route is None:
-            raise NoRouteError(
-                f"no usable route between endpoints {src_endpoint} and {dst_endpoint}")
-        return route
-
-    def _argmin(self, minimal: tuple[Route, ...], src_sw: int, dst_sw: int,
-                groups, view: CongestionView) -> Route | None:
-        """Lexicographic minimum of (cost, weight, candidate index) over the
-        routes of ``minimal`` (weight 1) and then the detours through each
-        of ``groups`` in turn (weight ``nonminimal_bias``), or None when
-        there is no candidate.  Candidate indices grow along the
-        concatenated sets, so the minimum is the best of the sets' own
-        bests, the earliest set winning a tie.
+        """The lexicographic minimum of (cost, weight, candidate index) over
+        the routes of the minimal set (weight 1) and then the detours
+        through each sampled group in turn (weight ``nonminimal_bias``).
+        Candidate indices grow along the concatenated sets, so the minimum
+        is the best of the sets' own bests, the earliest set winning a tie.
 
         Floor: a detour crosses two global links, so its (cost, weight) is
         at least (0, 3 x bias).  Once the best so far is at or below that
         floor, no later detour can beat it (at best it ties, and ties go to
         the earlier candidate), so the remaining groups' detours are neither
         fetched nor scored.  An unreachable group is skipped."""
-        if self._memo_for[0] is not view or self._memo_for[1] is not self.tables:
-            self._memo.clear()
-            self._memo_for = (view, self.tables)
-        best = self._best_of(minimal, 1.0, view) if minimal else None
-        bias = self.policy.nonminimal_bias
-        floor_w = 3 * bias  # costs are >= 0, so (cost, w) <= (0, floor_w)
-        detours = self.tables.nonminimal_routes
-        for g in groups:
-            if best is not None and best[0] == 0.0 and best[1] <= floor_w:
-                break
-            try:
-                routes = detours(src_sw, dst_sw, g)
-            except NoRouteError:
-                continue
-            hit = self._best_of(routes, bias, view)
-            if best is None or hit[0] < best[0] or (
-                    hit[0] == best[0] and hit[1] < best[1]):
-                best = hit
-        return None if best is None else best[2]
+        src_sw = src_endpoint // self._eps
+        dst_sw = dst_endpoint // self._eps
+        tables = self.tables
+        cards = self._cards
+        if self._cards_view is not view or self._cards_tables is not tables:
+            cards.clear()
+            self._cards_view = view
+            self._cards_tables = tables
+        card = cards.get((src_sw, dst_sw))
+        if card is None:
+            card = cards[src_sw, dst_sw] = self._card(src_sw, dst_sw, view)
+        best, detours = card
+        policy = self.policy
+        if policy.mode == "adaptive":
+            spg = self._spg
+            bias = policy.nonminimal_bias
+            floor_w = 3 * bias  # costs are >= 0, so (cost, w) <= (0, floor_w)
+            for g in self._sample_intermediates(src_sw // spg, dst_sw // spg):
+                if best is not None and best[0] == 0.0 and best[1] <= floor_w:
+                    break
+                hit = detours.get(g, _UNSEEN)
+                if hit is _UNSEEN:
+                    try:
+                        routes = tables.nonminimal_routes(src_sw, dst_sw, g)
+                    except NoRouteError:
+                        hit = None
+                    else:
+                        hit = _best(routes, bias, view)
+                    detours[g] = hit
+                if hit is not None and (best is None or hit[0] < best[0] or (
+                        hit[0] == best[0] and hit[1] < best[1])):
+                    best = hit
+        if best is None:
+            raise NoRouteError(
+                f"no usable route between endpoints {src_endpoint} and {dst_endpoint}")
+        return best[2]
 
-    def _best_of(self, routes: tuple[Route, ...], weight: float,
-                 view: CongestionView):
-        """``_best(routes, weight, view)``, through the memo."""
-        hit = self._memo.get(id(routes))
-        if hit is None:
-            hit = self._memo[id(routes)] = _best(routes, weight, view)
-        return hit
+    def _card(self, src_sw: int, dst_sw: int, view: CongestionView) -> tuple:
+        """A fresh scorecard of the pair for ``view``: the best of its
+        minimal set, and no detour set reached yet.  In ``"minimal"`` mode a
+        pair without a minimal route has no card: its lookup raises, here
+        and at every later decision."""
+        try:
+            minimal = self.tables.minimal_routes(src_sw, dst_sw)
+        except NoRouteError:
+            if self.policy.mode == "minimal":
+                raise
+            return None, {}
+        return _best(minimal, 1.0, view), {}
 
 
 def _best(routes: tuple[Route, ...], weight: float, view: CongestionView):

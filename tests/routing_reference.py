@@ -1,24 +1,35 @@
-"""Frozen reference copy of route enumeration as it stood while minimal
-routes and each half of a detour were built by hand: a local hop to the
-global link's port, the global link, a local hop on from its far end, and
-the link ids replayed into port ids by ``_travel``.
-``test_enumeration_matches_reference`` compares ``slingsim.routing``'s
-enumerators against this copy, route for route and in order, because route
-order sets the candidate indices that break selection ties; do not edit it
-to follow later changes of ``slingsim.routing``.
+"""Frozen reference copies of route enumeration and of route selection;
+do not edit either to follow later changes of ``slingsim.routing``.
 
-The code is verbatim except for three names ``slingsim`` no longer has:
-``topo.links.local_between`` stands for ``Topology.local_links_between``,
-which only forwarded to it, ``_peer`` for ``Link.peer``, and ``Route`` below
-for the ``slingsim.routing.Route`` dataclass of that time, which is now the
-plain tuple of its ``ports``.
+Enumeration as it stood while minimal routes and each half of a detour were
+built by hand: a local hop to the global link's port, the global link, a
+local hop on from its far end, and the link ids replayed into port ids by
+``_travel``.  ``test_enumeration_matches_reference`` compares
+``slingsim.routing``'s enumerators against this copy, route for route and in
+order, because route order sets the candidate indices that break selection
+ties.  This code is verbatim except for three names ``slingsim`` no longer
+has: ``topo.links.local_between`` stands for
+``Topology.local_links_between``, which only forwarded to it, ``_peer`` for
+``Link.peer``, and ``Route`` below for the ``slingsim.routing.Route``
+dataclass of that time, which is now the plain tuple of its ``ports``.
+
+Selection (``Selector``) as it stood while ``Router`` kept the best score of
+each route set in a memo keyed by ``id(route set)`` and drew the
+intermediate groups with ``random.sample``.  ``test_routing_differential``
+and ``test_route_replay`` require the live ``Router`` to give its picks, or
+its ``NoRouteError`` messages, and to leave its RNG in the same state after
+every decision.  The method bodies are verbatim, less their docstrings and
+return annotations.  Only ``__init__`` differs: a ``Selector`` holds no
+flows and no overlay, and its caller sets ``tables`` before each
+decision.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
-from slingsim.routing import NoRouteError, RoutingError
+from slingsim.routing import CongestionView, NoRouteError, RoutingError
 from slingsim.topology import Topology, port_id
 
 
@@ -160,3 +171,96 @@ def enumerate_nonminimal_routes(topo: Topology, view, src_switch: int,
             f"intermediate group {intermediate_group} unreachable between "
             f"switches {src_switch} and {dst_switch}")
     return tuple(routes)
+
+
+class Selector:
+    """``Router._decide`` and the methods it calls, with the id memo."""
+
+    def __init__(self, topo: Topology, policy, seed: int, tables=None):
+        self.topo = topo
+        self.policy = policy
+        self.tables = tables
+        self.rng = random.Random(seed)
+        groups = len(topo.group_kinds)
+        self._indices = {groups - 2: list(range(groups - 2)),
+                         groups - 1: list(range(groups - 1))}
+        self._memo: dict[int, tuple[float, float, tuple[int, ...]]] = {}
+        self._memo_for: tuple = (None, None)  # (view, tables)
+
+    def _sample_intermediates(self, ga: int, gb: int) -> list[int]:
+        lo, hi = (ga, gb) if ga < gb else (gb, ga)
+        groups = len(self.topo.group_kinds)
+        # index g of the other groups is group g, plus one at or past lo and
+        # one more at or past top, hi's index once lo is left out
+        m, top = (groups - 1, groups) if lo == hi else (groups - 2, hi - 1)
+        k = min(self.policy.intermediate_samples, m)
+        if k == m:  # also when there is no other group
+            return [g for g in range(groups) if g != lo and g != hi]
+        picks = self.rng.sample(self._indices[m], k)
+        for n in range(k):  # in place: cheaper than a new list for small k
+            g = picks[n]
+            if g >= lo:
+                picks[n] = g + 1 + (g >= top)
+        return picks
+
+    def _decide(self, src_endpoint: int, dst_endpoint: int,
+                view: CongestionView):
+        src_sw = self.topo.switch_of_endpoint(src_endpoint)
+        dst_sw = self.topo.switch_of_endpoint(dst_endpoint)
+        try:
+            minimal = self.tables.minimal_routes(src_sw, dst_sw)
+        except NoRouteError:
+            if self.policy.mode == "minimal":
+                raise
+            minimal = ()
+
+        sampled = ()
+        if self.policy.mode == "adaptive":
+            ga = self.topo.group_of_switch(src_sw)
+            gb = self.topo.group_of_switch(dst_sw)
+            sampled = self._sample_intermediates(ga, gb)
+        route = self._argmin(minimal, src_sw, dst_sw, sampled, view)
+        if route is None:
+            raise NoRouteError(
+                f"no usable route between endpoints {src_endpoint} and {dst_endpoint}")
+        return route
+
+    def _argmin(self, minimal, src_sw: int, dst_sw: int, groups,
+                view: CongestionView):
+        if self._memo_for[0] is not view or self._memo_for[1] is not self.tables:
+            self._memo.clear()
+            self._memo_for = (view, self.tables)
+        best = self._best_of(minimal, 1.0, view) if minimal else None
+        bias = self.policy.nonminimal_bias
+        floor_w = 3 * bias  # costs are >= 0, so (cost, w) <= (0, floor_w)
+        detours = self.tables.nonminimal_routes
+        for g in groups:
+            if best is not None and best[0] == 0.0 and best[1] <= floor_w:
+                break
+            try:
+                routes = detours(src_sw, dst_sw, g)
+            except NoRouteError:
+                continue
+            hit = self._best_of(routes, bias, view)
+            if best is None or hit[0] < best[0] or (
+                    hit[0] == best[0] and hit[1] < best[1]):
+                best = hit
+        return None if best is None else best[2]
+
+    def _best_of(self, routes, weight: float, view: CongestionView):
+        hit = self._memo.get(id(routes))
+        if hit is None:
+            hit = self._memo[id(routes)] = _best(routes, weight, view)
+        return hit
+
+
+def _best(routes, weight: float, view: CongestionView):
+    score = view.route_max_occupancy
+    best = None
+    for r in routes:
+        w = weight * (len(r) + 1)
+        cost = w * score(r)
+        if best is None or cost < best_cost or (
+                cost == best_cost and w < best_w):
+            best, best_cost, best_w = r, cost, w
+    return best_cost, best_w, best

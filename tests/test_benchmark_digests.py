@@ -11,6 +11,9 @@ A traced repetition of each workload on seed 1 pins the per-layer counts
 the benchmark's tracer takes at the engine's ``heapq`` reference: events by
 kind, events that fire without the clock moving, and QoS enqueues.  An
 event-set change that breaks the tracer's view of the events fails here.
+It also pins the routing layer's work: routing decisions, candidate routes
+scored and route sets enumerated, so a change to route choice that scores
+or enumerates one set more or less than before fails here too.
 """
 
 import sys
@@ -62,12 +65,19 @@ TRACED = {
     "aurora_sparse": ((79_680, 79_680, 365, 8_192, 5, 0), 167_301, 79_680),
     "incast_cc": ((8_126, 8_126, 5_895, 1_086, 43, 1), 20_491, 8_126),
 }
+# traced routing counts of seed 1: routing.select_route.calls,
+# routing.candidates_scored and routing.enumerate.calls
+ROUTING = {
+    "perm_1m": (32_768, 86_331, 843),
+    "aurora_sparse": (16_384, 2_047, 1_024),
+    "incast_cc": (2_078, 507, 156),
+}
 KINDS = ("tx", "arrive", "wakeport", "wakeinj", "tick", "series", "sweep",
          "fault", "retry")
 
 
 def test_every_workload_is_traced():
-    assert set(TRACED) == set(WORKLOADS)
+    assert set(TRACED) == set(ROUTING) == set(WORKLOADS)
 
 
 @pytest.mark.parametrize("name", sorted(TRACED))
@@ -82,3 +92,6 @@ def test_traced_counts(name):
     assert layers["engine.events"] == sum(by_kind)
     assert layers["engine.zero_advance_events"] == zero_advance
     assert layers["qos.enqueue.calls"] == enqueues
+    assert tuple(layers[f"routing.{m}"] for m in (
+        "select_route.calls", "candidates_scored", "enumerate.calls")) \
+        == ROUTING[name]

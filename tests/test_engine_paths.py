@@ -1,5 +1,5 @@
-"""Engine paths no golden run reaches: flows without any route, the
-release of congestion throttles, ordered flows losing their pinned link,
+"""Engine paths no golden run reaches: flows without any route, a group
+pair cut off, the release of congestion throttles, ordered flows losing their pinned link,
 phase barriers, chunks sharing their message's path, the order events
 fire in, and the schedules, settings and faults the engine must reject.
 
@@ -8,16 +8,19 @@ shares its host-time budget and its byte-balance and credit-drain checks.
 """
 
 import heapq
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from slingsim import engine as engine_mod
+from slingsim import routing
 from slingsim.cc import CongestionManager
 from slingsim.engine import K_ARRIVE, K_FAULT, K_RETRY, K_SWEEP, \
     MAX_RETRIES, RETRY_TIMEOUT_S, Engine, SimConfig, SimConfigError
 from slingsim.qos import default_profile
-from slingsim.routing import Router, RoutingPolicy
+from slingsim.routing import NoRouteError, Router, RoutingPolicy, \
+    RoutingTables
 from slingsim.topology import GLOBAL, StateOverlay, TopologyError, \
     build_topology, port_id, port_key
 
@@ -70,6 +73,46 @@ def test_no_route_fails_after_max_retries():
         gaps = [b.time - a.time for a, b in zip(mine, mine[1:])]
         assert gaps == pytest.approx([RETRY_TIMEOUT_S] * MAX_RETRIES)
     assert engine.router.flows == {}
+
+
+def test_cut_group_pair_enumerates_each_failing_key_once(monkeypatch):
+    """Both global links between groups 0 and 1 are down before the first
+    sweep, so some switch pairs have no minimal route and, for others, group
+    0 or 1 is an unreachable intermediate group.  The tables keep each
+    ``NoRouteError``: a key that fails is enumerated once per
+    ``RoutingTables``, and every later lookup of it raises the enumerator's
+    message again.  The digest is the one recorded while failures were
+    enumerated again at every lookup (2,596 enumerations, 1,806 of them
+    failing, in this run)."""
+    enumerated = Counter()  # (tables, key) -> enumerations
+    failed = {}  # (tables, key) -> the enumerator's message
+    raised = []  # (tables, key, message) of each failing lookup
+    for name in ("enumerate_minimal_routes", "enumerate_nonminimal_routes"):
+        def enumerate_routes(topo, tables, *key, real=getattr(routing, name)):
+            enumerated[tables, key] += 1
+            try:
+                return real(topo, tables, *key)
+            except NoRouteError as e:
+                failed[tables, key] = str(e)
+                raise
+        monkeypatch.setattr(routing, name, enumerate_routes)
+    for name in ("minimal_routes", "nonminimal_routes"):
+        def look_up(tables, *key, real=getattr(RoutingTables, name)):
+            try:
+                return real(tables, *key)
+            except NoRouteError as e:
+                raised.append((tables, key, str(e)))
+                raise
+        monkeypatch.setattr(RoutingTables, name, look_up)
+    _, report = run(permutation(128, 256 * KIB, 1), cc=False,
+                    down=lambda topo: topo.global_links[(0, 1)])
+    assert report.digest == \
+        "d12b46a5e2783915bad99e1d63c6cb9b486fef78c83155c94eeab891d1c320da"
+    assert report.incomplete_messages == 0 and report.failed_bytes == 0
+    assert failed and all(enumerated[key] == 1 for key in failed)
+    assert len(raised) > len(failed)
+    assert all(msg == failed[tables, key] for tables, key, msg in raised)
+    assert sum(enumerated.values()) == 843
 
 
 def test_message_recovers_after_losing_its_route():
